@@ -6,12 +6,9 @@
 #include <array>
 #include <memory>
 
-#include "cpu/system.h"
 #include "mem/memory_system.h"
 #include "rop/pattern_profiler.h"
-#include "sim/presets.h"
-#include "workload/spec_profiles.h"
-#include "workload/synthetic.h"
+#include "sim/sim_instance.h"
 
 namespace rop::bench {
 
@@ -59,19 +56,17 @@ class CorrelationObserver final : public mem::ControllerListener {
 /// attached; returns the observer with finalized counts.
 inline std::unique_ptr<CorrelationObserver> observe_benchmark(
     const std::string& benchmark, std::uint64_t instructions) {
-  const mem::MemoryConfig mem_cfg =
-      sim::make_memory_config(1, sim::MemoryMode::kBaseline);
-  StatRegistry stats;
-  mem::MemorySystem memory(mem_cfg, &stats);
-  auto observer = std::make_unique<CorrelationObserver>(
-      mem_cfg.timings.tREFI, mem_cfg.org.ranks);
-  memory.controller(0).set_listener(observer.get());
-
-  workload::SyntheticTrace trace(workload::spec_profile(benchmark));
-  std::vector<workload::TraceSource*> traces{&trace};
-  cpu::System system(sim::make_system_config(2ull << 20, false), memory,
-                     traces);
-  system.run(instructions, instructions * 64);
+  const sim::ExperimentSpec spec =
+      sim::single_core_spec(benchmark, sim::MemoryMode::kBaseline);
+  std::unique_ptr<CorrelationObserver> observer;
+  sim::SimInstanceHooks hooks;
+  hooks.post_memory = [&](mem::MemorySystem& memory) {
+    observer = std::make_unique<CorrelationObserver>(
+        memory.config().timings.tREFI, memory.config().org.ranks);
+    memory.controller(0).set_listener(observer.get());
+  };
+  sim::SimInstance inst = sim::build_sim_instance(spec, nullptr, hooks);
+  inst.system->run(instructions, instructions * 64);
   observer->finalize();
   return observer;
 }

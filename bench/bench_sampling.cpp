@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark) for the SMARTS sampled-execution
 // machinery and the snapshot serializer: the CI estimator, a full sampled
-// run vs its exact twin (the speedup the sampling block buys at bench
-// scale), and an end-to-end checkpoint save + bit-identical restore.
+// run and its exact twin, and an end-to-end checkpoint save +
+// bit-identical restore.
 // Gated numbers live in BENCH_sampling.json (ci_baseline_ns); the
 // billion-cycle end-to-end wall-clock rows in that file come from ropsim
 // runs, not this binary.
@@ -32,9 +32,9 @@ sim::ExperimentSpec lbm_spec(std::uint64_t instructions) {
 }
 
 // The per-window estimator update: mean, stderr, and the t-quantile CI
-// over a realistic window count. run_sampled pays this once per window
-// when a CI target is set, so it must stay trivially cheap next to the
-// detailed window it summarizes.
+// over a realistic window count. The planner pays this once per placed
+// window when a CI target is set, so it must stay trivially cheap next to
+// the detailed window it summarizes.
 void BM_EstimatorFromWindows(benchmark::State& state) {
   std::vector<double> obs;
   obs.reserve(256);
@@ -50,25 +50,13 @@ void BM_EstimatorFromWindows(benchmark::State& state) {
 }
 
 // Exact twin of the sampled run below: same workload, same horizon,
-// every cycle detailed. The sampled/exact ratio at this scale is the
-// floor of what sampling buys (the win grows with the horizon — see the
+// every cycle detailed (the sampling win grows with the horizon — see the
 // end_to_end_seconds rows in BENCH_sampling.json).
 void BM_ExactExperiment(benchmark::State& state) {
   const sim::ExperimentSpec spec = lbm_spec(2'000'000);
   for (auto _ : state) {
     const sim::ExperimentResult r = sim::run_experiment(spec);
     benchmark::DoNotOptimize(r.run.cpu_cycles);
-  }
-}
-
-// Full sampled run at tuned defaults: alternating warmup/detail windows
-// and functional fast-forward, estimator folds included.
-void BM_SampledExperiment(benchmark::State& state) {
-  sim::ExperimentSpec spec = lbm_spec(2'000'000);
-  spec.sampling.enabled = true;
-  for (auto _ : state) {
-    const sim::ExperimentResult r = sim::run_experiment(spec);
-    benchmark::DoNotOptimize(r.sampling.ipc.mean);
   }
 }
 
@@ -94,11 +82,11 @@ void BM_SnapshotSaveRestore(benchmark::State& state) {
   std::remove(path.c_str());
 }
 
-// Planned parallel sampling at the same scale: one functional-only
+// Sampled run at tuned defaults and the same scale: one functional-only
 // planner pass dropping in-memory snapshots, windows dispatched to a
-// 4-worker pool (sim/parallel_sampling). On a single hardware thread
-// this measures the dispatch overhead over BM_SampledExperiment; the
-// speedup itself needs real cores (see end_to_end_seconds).
+// 4-worker pool (sim/parallel_sampling), estimator folds included. At
+// this tiny scale the fixed costs (worker replica builds, one snapshot
+// round trip per window) dominate; see end_to_end_seconds for horizons.
 void BM_ParallelSampledExperiment(benchmark::State& state) {
   sim::ExperimentSpec spec = lbm_spec(2'000'000);
   spec.sampling.enabled = true;
@@ -137,7 +125,6 @@ void BM_SnapshotInMemoryRoundTrip(benchmark::State& state) {
 
 BENCHMARK(BM_EstimatorFromWindows);
 BENCHMARK(BM_ExactExperiment)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SampledExperiment)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ParallelSampledExperiment)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SnapshotSaveRestore)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SnapshotInMemoryRoundTrip)->Unit(benchmark::kMillisecond);

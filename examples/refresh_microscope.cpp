@@ -6,15 +6,13 @@
 //   ./example_refresh_microscope [benchmark] [instructions]
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 
 #include "common/table.h"
-#include "cpu/system.h"
 #include "mem/memory_system.h"
 #include "rop/pattern_profiler.h"
-#include "sim/presets.h"
-#include "workload/spec_profiles.h"
-#include "workload/synthetic.h"
+#include "sim/sim_instance.h"
 
 namespace {
 
@@ -52,26 +50,25 @@ int main(int argc, char** argv) {
   const std::uint64_t instructions =
       argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 15'000'000ull;
 
-  StatRegistry stats;
-  const mem::MemoryConfig mem_cfg =
-      sim::make_memory_config(1, sim::MemoryMode::kBaseline);
-  mem::MemorySystem memory(mem_cfg, &stats);
-  Microscope scope(mem_cfg.timings.tREFI, mem_cfg.org.ranks);
-  memory.controller(0).set_listener(&scope);
-
-  workload::SyntheticTrace trace(workload::spec_profile(benchmark));
-  std::vector<workload::TraceSource*> traces{&trace};
-  cpu::System system(sim::make_system_config(2ull << 20, false), memory,
-                     traces);
-  const auto rr = system.run(instructions, instructions * 64);
-  scope.correlator_.finalize();
+  const sim::ExperimentSpec spec =
+      sim::single_core_spec(benchmark, sim::MemoryMode::kBaseline);
+  std::unique_ptr<Microscope> scope;
+  sim::SimInstanceHooks hooks;
+  hooks.post_memory = [&](mem::MemorySystem& memory) {
+    scope = std::make_unique<Microscope>(memory.config().timings.tREFI,
+                                         memory.config().org.ranks);
+    memory.controller(0).set_listener(scope.get());
+  };
+  const sim::SimInstance inst = sim::build_sim_instance(spec, nullptr, hooks);
+  const auto rr = inst.system->run(instructions, instructions * 64);
+  scope->correlator_.finalize();
 
   std::printf("refresh microscope: %s, %llu instructions, IPC %.3f\n\n",
               benchmark.c_str(),
               static_cast<unsigned long long>(instructions),
               rr.cores[0].ipc);
 
-  const auto& blocking = memory.controller(0).blocking_stats();
+  const auto& blocking = inst.memory->controller(0).blocking_stats();
   TextTable t1("refresh/request interaction (paper Figs. 2-3)");
   t1.set_header({"examined window", "non-blocking", "mean blocked",
                  "max blocked"});
@@ -84,7 +81,7 @@ int main(int argc, char** argv) {
   }
   t1.print();
 
-  const auto& c = scope.correlator_.counts();
+  const auto& c = scope->correlator_.counts();
   TextTable t2("refresh categories in the 1x tREFI window (paper §IV-B)");
   t2.set_header({"category", "count", "fraction"});
   const char* cats[] = {"B>0 && A>0 (E1)", "B>0 && A=0", "B=0 && A>0",

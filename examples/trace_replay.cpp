@@ -8,26 +8,30 @@
 #include <cstdlib>
 #include <string>
 
-#include "cpu/system.h"
-#include "mem/memory_system.h"
-#include "sim/presets.h"
+#include "sim/experiment.h"
 #include "workload/spec_profiles.h"
 #include "workload/synthetic.h"
 #include "workload/trace_io.h"
 
 namespace {
 
-double run_ipc(rop::workload::TraceSource& source,
-               std::uint64_t instructions) {
+/// One baseline run of `benchmark` — from its generator, or replayed from
+/// `trace_file` when non-empty — returning the stats document with the
+/// wall-clock field zeroed, so two runs compare byte for byte.
+std::string run_json(const std::string& benchmark,
+                     const std::string& trace_file,
+                     std::uint64_t instructions) {
   using namespace rop;
-  StatRegistry stats;
-  const mem::MemoryConfig mem_cfg =
-      sim::make_memory_config(1, sim::MemoryMode::kBaseline);
-  mem::MemorySystem memory(mem_cfg, &stats);
-  std::vector<workload::TraceSource*> traces{&source};
-  cpu::System system(sim::make_system_config(2ull << 20, false), memory,
-                     traces);
-  return system.run(instructions, instructions * 64).cores[0].ipc;
+  sim::ExperimentSpec spec =
+      sim::single_core_spec(benchmark, sim::MemoryMode::kBaseline);
+  spec.instructions_per_core = instructions;
+  spec.max_cpu_cycles = instructions * 64;
+  spec.trace_file = trace_file;
+  sim::ExperimentResult r = sim::run_experiment(spec);
+  std::printf("IPC from %-10s %.6f\n",
+              trace_file.empty() ? "generator:" : "replay:", r.ipc());
+  r.wall_seconds = 0.0;
+  return r.to_json();
 }
 
 }  // namespace
@@ -53,14 +57,9 @@ int main(int argc, char** argv) {
   for (const auto& rec : captured) instructions += rec.gap + 1;
   instructions = instructions * 9 / 10;  // stay inside the captured prefix
 
-  workload::MemoryTrace replay(workload::read_trace_file(path));
-  generator.reset();
-  const double ipc_generator = run_ipc(generator, instructions);
-  const double ipc_replay = run_ipc(replay, instructions);
-
-  std::printf("IPC from generator: %.6f\n", ipc_generator);
-  std::printf("IPC from replay:    %.6f\n", ipc_replay);
-  if (ipc_generator == ipc_replay) {
+  const std::string from_generator = run_json(benchmark, "", instructions);
+  const std::string from_replay = run_json(benchmark, path, instructions);
+  if (from_generator == from_replay) {
     std::printf("replay is bit-identical to the generator run\n");
   } else {
     std::printf("replay diverged (ran past the captured prefix?)\n");

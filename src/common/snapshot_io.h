@@ -223,7 +223,11 @@ class Reader {
           return;
         }
         v.resize(static_cast<std::size_t>(n));
-        std::memcpy(v.data(), pos_, static_cast<std::size_t>(bytes));
+        // An empty vector's data() may be null, which memcpy forbids even
+        // for zero bytes.
+        if (bytes > 0) {
+          std::memcpy(v.data(), pos_, static_cast<std::size_t>(bytes));
+        }
         pos_ += bytes;
       } else {
         const std::uint64_t n = length();

@@ -77,13 +77,6 @@ System::System(const SystemConfig& cfg, mem::MemorySystem& memory,
 
 System::~System() = default;
 
-bool System::all_cores_stalled() const {
-  for (const auto& core : cores_) {
-    if (!core->stalled_on_memory()) return false;
-  }
-  return true;
-}
-
 Address System::relocate(CoreId core, Address local) const {
   const std::uint64_t local_line = local >> kLineShift;
   if (cfg_.rank_partition) {
@@ -250,9 +243,9 @@ bool System::advance_until(std::uint64_t stop_cpu) {
   // Event-loop sleep/wake: a core blocked on a critical load is not
   // executed (nor billed) per cycle; its cycles/stall_cycles lag until the
   // wake back-fill in Core::on_read_complete or a bulk run_until catches
-  // it up. The per-cycle modes bill stalled cores every cycle, so the
-  // back-fill is zero there.
-  const bool lazy_sleep = sharded || mode == LoopMode::kEventDriven;
+  // it up. The naive loop bills stalled cores every cycle, so the
+  // back-fill is zero there. (The sharded loop is event-driven.)
+  const bool lazy_sleep = mode == LoopMode::kEventDriven;
   telemetry::EpochSampler* const sampler = memory_.sampler();
   const std::uint64_t stop = std::min(stop_cpu, loop_.max_cpu_cycles);
 
@@ -310,16 +303,11 @@ bool System::advance_until(std::uint64_t stop_cpu) {
     ++cpu_cycle;
 
     // -- Bulk advance: jump the whole system across a span every party has
-    // proven pure. kFrozenStall keeps the PR-3 restriction (skip only the
-    // paper's frozen cycles, when every core is stalled); kEventDriven and
-    // the sharded loop fold per-core next events into the same mechanism.
-    // Clamping the jump at the segment stop is exact: run_until composes
-    // over pure spans, and the re-entry window visit is a provable no-op.
-    if (loop_.remaining == 0) continue;
-    if (!sharded) {
-      if (mode == LoopMode::kNaive) continue;
-      if (mode == LoopMode::kFrozenStall && !all_cores_stalled()) continue;
-    }
+    // proven pure (per-core next events folded with the memory bound; the
+    // sharded loop uses the same mechanism). Clamping the jump at the
+    // segment stop is exact: run_until composes over pure spans, and the
+    // re-entry window visit is a provable no-op.
+    if (loop_.remaining == 0 || mode == LoopMode::kNaive) continue;
     const std::uint64_t target = std::min(
         stop, skip_target(cpu_cycle, next_window_cpu, mem_next_event,
                           loop_.target_instructions, loop_.max_cpu_cycles,

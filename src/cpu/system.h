@@ -20,22 +20,19 @@ class ShardPool;
 
 namespace rop::cpu {
 
-/// Simulation-loop strategy. All three produce bit-identical results
-/// (enforced by the determinism tests); they differ only in which cycles
-/// they prove skippable.
+/// Simulation-loop strategy. Both produce bit-identical results (enforced
+/// by the determinism tests); they differ only in which cycles they prove
+/// skippable. The enumerator values are pinned: spec_canonical writes them
+/// into every snapshot and campaign-checkpoint fingerprint.
 enum class LoopMode : std::uint8_t {
   /// Reference loop: every core cycles every CPU cycle, the memory ticks
-  /// at every controller boundary.
-  kNaive,
-  /// The PR-3 strategy: event-driven memory clock, plus a CPU-clock jump
-  /// only when *every* core is stalled on memory (the paper's frozen
-  /// cycles). One running core forces per-cycle execution of all cores.
-  kFrozenStall,
+  /// at every controller boundary. The cross-checking oracle.
+  kNaive = 0,
   /// Unified next-event loop: per-core next events (closed-form compute-gap
   /// retirement, sleeping stalled cores with wake back-fill) folded with
   /// the memory next-event bound, so the clock jumps whenever *each* core
   /// is individually in a provably pure span.
-  kEventDriven,
+  kEventDriven = 2,
 };
 
 struct SystemConfig {
@@ -225,10 +222,6 @@ class System final : public MemoryPort {
   /// Relocate a core-local address into the physical address space (bases
   /// precomputed at construction; see reloc_base_line_).
   [[nodiscard]] Address relocate(CoreId core, Address local) const;
-
-  /// True when every core is blocked on an outstanding critical load —
-  /// the "frozen cycles" of the paper's title.
-  [[nodiscard]] bool all_cores_stalled() const;
 
   /// Highest CPU cycle the whole system can be bulk-advanced to from
   /// `cpu_cycle` (exclusive caps folded: memory next event / dirty

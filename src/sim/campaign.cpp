@@ -503,10 +503,11 @@ std::optional<std::vector<CampaignCell>> expand_campaign(
                      check_v->as_bool();
 
   // Top-level "sampling" object: its presence switches every cell to
-  // sampled execution (sim/sampling.h knobs; "jobs"/"strata" select the
-  // planned parallel mode). Sampling composes with neither intra-cell
-  // checkpoints nor the sharded loop nor epoch telemetry, so those
-  // combinations are spec errors, not silent downgrades.
+  // sampled execution (sim/sampling.h knobs; "jobs" sets the window-worker
+  // count, "strata" the stratified placement). Sampling composes with
+  // neither intra-cell checkpoints nor the sharded loop nor epoch
+  // telemetry, so those combinations are spec errors, not silent
+  // downgrades.
   SamplingSpec sampling;
   if (const json::Value* sv = spec.find("sampling"); sv != nullptr) {
     if (!sv->is_object()) {
@@ -550,10 +551,8 @@ std::optional<std::vector<CampaignCell>> expand_campaign(
         ci != nullptr && ci->is_number()) {
       sampling.target_ci_frac = ci->as_double();
     }
-    if (sampling.strata > 0 && sampling.jobs == 0) {
-      if (error != nullptr) {
-        *error = "'sampling.strata' requires 'sampling.jobs' >= 1";
-      }
+    if (sampling.jobs == 0) {
+      if (error != nullptr) *error = "'sampling.jobs' must be >= 1";
       return std::nullopt;
     }
   }
@@ -720,7 +719,7 @@ std::optional<CampaignSummary> run_campaign(const CampaignOptions& opts,
   }
 
   // Budget against the widest cell: sharded cells bring shard workers and
-  // planned-sampled cells bring window workers, so jobs * width never
+  // sampled cells bring window workers, so jobs * width never
   // exceeds the machine (a 4-cell sweep of sampling.jobs=4 cells on an
   // 8-thread budget runs 2 cells at a time, not 4).
   unsigned max_width = 1;

@@ -266,7 +266,12 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
   ROP_ASSERT(!(snap_active && spec.sampling.enabled) &&
              "checkpointing a statistically sampled run is not meaningful");
   ROP_ASSERT(!(spec.sampling.enabled && sharded) &&
-             "sampled execution runs on the serial loops only");
+             "sampled execution runs on the serial loop only");
+  ROP_ASSERT(!(spec.sampling.enabled && spec.telemetry.any()) &&
+             "sampled execution runs without telemetry sinks");
+  ROP_ASSERT((spec.trace_file.empty() ||
+              !(snap_active || spec.sampling.enabled || sharded)) &&
+             "trace-file replay is exact, serial and uncheckpointed");
   ExperimentResult result;
 
   // Full system assembly lives in build_sim_instance (the parallel-sampling
@@ -342,18 +347,12 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
   const bool progress_active =
       !spec.progress_file.empty() && !spec.sampling.enabled;
   const auto wall_start = std::chrono::steady_clock::now();
-  if (spec.sampling.enabled && spec.sampling.jobs > 0) {
-    // Planned parallel mode: the instance above becomes the functional-only
-    // backbone; workers replicate it from the spec. Telemetry sinks hold
+  if (spec.sampling.enabled) {
+    // The instance above becomes the functional-only backbone; window
+    // workers replicate it from the spec. Telemetry sinks hold
     // single-threaded ring state and the backbone never runs a detailed
-    // cycle, so planned mode requires them off.
-    ROP_ASSERT(!spec.telemetry.tracing() && !spec.telemetry.sampling() &&
-               "planned parallel sampling runs without telemetry sinks");
+    // cycle, hence the no-sinks rule above.
     result.run = run_parallel_sampled(spec, inst, &result.sampling);
-  } else if (spec.sampling.enabled) {
-    result.run =
-        run_sampled(system, memory, spec.sampling, spec.instructions_per_core,
-                    spec.max_cpu_cycles, &result.sampling);
   } else if (!snap_active && !progress_active) {
     result.run = system.run(spec.instructions_per_core, spec.max_cpu_cycles);
   } else {
@@ -553,9 +552,7 @@ unsigned experiment_worker_width(const ExperimentSpec& spec) {
   if (spec.shard_channels > 0) {
     width = std::max(width, std::min(spec.shard_channels, spec.channels));
   }
-  if (spec.sampling.enabled && spec.sampling.jobs > 0) {
-    width = std::max(width, spec.sampling.jobs);
-  }
+  if (spec.sampling.enabled) width = std::max(width, spec.sampling.jobs);
   return width;
 }
 

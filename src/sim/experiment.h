@@ -58,8 +58,8 @@ struct ExperimentSpec {
   std::uint64_t instructions_per_core = 5'000'000;
   std::uint64_t max_cpu_cycles = 2'000'000'000;
   std::uint64_t seed_salt = 0;
-  /// Simulation-loop strategy (bit-identical across all three; see
-  /// cpu::LoopMode). kNaive / kFrozenStall are for cross-checks.
+  /// Simulation-loop strategy (bit-identical either way; see
+  /// cpu::LoopMode). kNaive is the cross-checking oracle.
   cpu::LoopMode loop = cpu::LoopMode::kEventDriven;
   /// Audit the run with check::SimChecker (per-tick invariants + end-of-run
   /// request conservation); a violation aborts the experiment with a
@@ -73,8 +73,15 @@ struct ExperimentSpec {
   /// checker is disabled while either is active — its conservation audit
   /// counts from attach and cannot span a restore or a functional jump).
   SnapshotSpec snapshot{};
-  /// SMARTS-style sampled execution (serial loops only; see sim/sampling.h).
+  /// SMARTS-style sampled execution (serial loop, no telemetry sinks; see
+  /// sim/sampling.h and sim/parallel_sampling.h).
   SamplingSpec sampling{};
+  /// When non-empty, every core replays this text trace file
+  /// (workload/trace_io.h) instead of its `benchmarks` profile, whose
+  /// entries then only set the core count. Exact serial runs only: not
+  /// combinable with snapshots, sampling, or shards. Not part of the
+  /// config fingerprint, which only those three consume.
+  std::string trace_file;
   /// Live-ops heartbeat: when non-empty, append one JSONL progress line to
   /// this file every `progress_every` CPU cycles and once at the end (see
   /// telemetry::ProgressWriter). Exact runs only (ignored while sampling).
@@ -152,7 +159,7 @@ struct ExperimentResult {
 [[nodiscard]] ExperimentResult run_experiment(const ExperimentSpec& spec);
 
 /// Worker threads one run of `spec` occupies: the shard count for a
-/// sharded run, the sampling job count for a planned-sampled run, else 1.
+/// sharded run, the window-worker count for a sampled run, else 1.
 /// The runner and the campaign engine divide the machine budget by the
 /// widest pending spec so jobs * width never oversubscribes (see
 /// sim/worker_budget.h).

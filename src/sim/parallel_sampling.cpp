@@ -17,6 +17,20 @@ namespace rop::sim {
 
 namespace {
 
+/// Settle every rank's activity accounting to `now` and total the DRAM
+/// energy across channels. Piecewise-safe: account_until is monotone, so
+/// mid-run settles compose with the final settle in finalize().
+double window_energy_mj(mem::MemorySystem& memory,
+                        const energy::DramPowerModel& power, Cycle now) {
+  double total = 0.0;
+  for (ChannelId ch = 0; ch < memory.num_channels(); ++ch) {
+    dram::Channel& channel = memory.controller(ch).channel();
+    channel.settle_accounting(now);
+    total += power.compute(channel).total_mj();
+  }
+  return total;
+}
+
 /// One planned window: the placement ordinal (merge order), its stratum,
 /// and the full simulator state at the window start.
 struct WindowJob {
@@ -144,8 +158,7 @@ class WindowPool {
       job.snapshot.clear();
       job.snapshot.shrink_to_fit();
 
-      // Same measured-window body as the chained loop (sim/sampling.cpp):
-      // excluded warmup, then one measured detailed window.
+      // Excluded warmup, then one measured detailed window.
       WindowSlot slot;
       slot.obs.index = job.ordinal;
       slot.obs.stratum = job.stratum;
@@ -155,8 +168,8 @@ class WindowPool {
         const std::uint64_t c0 = system.cpu_cycle();
         const std::uint64_t i0 = total_instructions();
         const std::uint64_t b0 = blocked->value();
-        const double e0 = sampled_window_energy_mj(
-            memory, power, c0 / system.cpu_ratio());
+        const double e0 =
+            window_energy_mj(memory, power, c0 / system.cpu_ratio());
         (void)system.advance_until(c0 + spec_.sampling.detail_cycles);
         const std::uint64_t c1 = system.cpu_cycle();
         if (c1 > c0) {
@@ -167,8 +180,8 @@ class WindowPool {
               static_cast<double>(total_instructions() - i0) / dc;
           slot.obs.refresh_blocked_per_mem_cycle =
               static_cast<double>(blocked->value() - b0) / dm;
-          const double e1 = sampled_window_energy_mj(
-              memory, power, c1 / system.cpu_ratio());
+          const double e1 =
+              window_energy_mj(memory, power, c1 / system.cpu_ratio());
           slot.obs.energy_mj_per_mcycle = (e1 - e0) * 1e6 / dm;
           slot.valid = true;
         }
@@ -216,7 +229,7 @@ cpu::RunResult run_parallel_sampled(const ExperimentSpec& spec,
   const SnapshotContext ctx = backbone.snapshot_context();
 
   // Planning grid: the backbone advances in chunks of 1/kPlannerOversample
-  // of the legacy inter-window spacing, so placement resolves finer than
+  // of the uniform inter-window spacing, so placement resolves finer than
   // the uniform grid without changing the mean window density. The chunk
   // count is known a priori — stratum membership is a pure function of the
   // chunk index.
@@ -289,7 +302,7 @@ cpu::RunResult run_parallel_sampled(const ExperimentSpec& spec,
     if (place && s.target_ci_frac > 0.0 && placed >= kAutoStopLookahead) {
       // Deterministic auto-stop: the decision for ordinal `placed` sees the
       // completed prefix 0..placed-kAutoStopLookahead-1 and applies the
-      // chained loop's convergence rule to exactly those observations.
+      // convergence rule to exactly those observations.
       // Content-only dependence -> identical for every worker count.
       const std::vector<double> prefix =
           pool.wait_prefix_ipc(placed - kAutoStopLookahead);

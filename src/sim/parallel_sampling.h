@@ -1,11 +1,8 @@
-// Checkpoint-spawned parallel sampling: plan measurement-window placement
-// on a cheap functional-only backbone, then fan the detailed windows out to
-// a worker pool as independent jobs restored from in-memory snapshots.
+// The one sampled-execution path: plan measurement-window placement on a
+// cheap functional-only backbone, then fan the detailed windows out to a
+// worker pool as independent jobs restored from in-memory snapshots.
 //
-// The legacy chained loop (sim/sampling.h) interleaves detailed windows
-// with functional warming on one system, so window N+1 cannot start until
-// window N finished — the detailed fraction is serial by construction. The
-// planner here never runs a detailed cycle itself: it advances a
+// The planner never runs a detailed cycle itself: it advances a
 // functional-only backbone in fine chunks (functional_instructions /
 // kOversample), drops a full in-memory snapshot (sim/snapshot.h,
 // save_snapshot_buffer) at each planned window start, and enqueues the
@@ -25,9 +22,9 @@
 // is operational metadata, like wall_seconds). The `--sample-target-ci`
 // auto-stop keeps the contract by deciding on a fixed-lag prefix: before
 // placing ordinal n >= kLookahead, the planner waits for observations
-// 0..n-kLookahead-1 and applies the same convergence rule the chained loop
-// uses to exactly that prefix — the decision depends only on observation
-// content, never on worker timing.
+// 0..n-kLookahead-1 and applies the convergence rule (ci95_half / mean <=
+// target once min_windows observations exist) to exactly that prefix — the
+// decision depends only on observation content, never on worker timing.
 //
 // Stratified placement (spec.sampling.strata > 0): the instruction horizon
 // splits into equal strata; during the functional pass each chunk is
@@ -49,7 +46,7 @@
 namespace rop::sim {
 
 /// Fine planning chunks per functional_instructions: placement can land a
-/// window every 1/kOversample of the legacy spacing.
+/// window every 1/kOversample of the uniform spacing.
 inline constexpr std::uint64_t kPlannerOversample = 4;
 
 /// Fixed auto-stop lag: ordinal n's placement decision sees observations
@@ -57,8 +54,8 @@ inline constexpr std::uint64_t kPlannerOversample = 4;
 /// small enough that convergence stops the run promptly.
 inline constexpr std::uint64_t kAutoStopLookahead = 8;
 
-/// Run `spec`'s sampled experiment in planned parallel mode
-/// (spec.sampling.jobs >= 1). `backbone` is the instance run_experiment
+/// Run `spec`'s sampled experiment (spec.sampling.jobs >= 1 window
+/// workers). `backbone` is the instance run_experiment
 /// built; it executes the functional-only pass and is finish_run()'d for
 /// the returned RunResult. Workers build their own replicas from `spec`.
 /// Serial loop only; tracing/epoch sampling must be off. Fills `out`.

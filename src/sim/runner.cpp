@@ -15,7 +15,7 @@ std::vector<ExperimentResult> run_experiments(
 
   // Budget the pool against nested parallelism: a spec that runs the
   // channel-sharded loop brings its own shard workers, and a
-  // planned-sampled spec brings its own window workers, so the default
+  // sampled spec brings its own window workers, so the default
   // (n_threads == 0) divides hardware_concurrency by the widest spec.
   unsigned max_width = 1;
   for (const ExperimentSpec& spec : specs) {

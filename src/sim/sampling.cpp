@@ -3,8 +3,6 @@
 #include <array>
 #include <cmath>
 
-#include "energy/dram_power.h"
-
 namespace rop::sim {
 
 double t_quantile_975(std::uint64_t df) {
@@ -20,7 +18,6 @@ double t_quantile_975(std::uint64_t df) {
 
 const char* sampling_placement_name(SamplingPlacement p) {
   switch (p) {
-    case SamplingPlacement::kChained: return "chained";
     case SamplingPlacement::kUniform: return "uniform";
     case SamplingPlacement::kStratified: return "stratified";
   }
@@ -102,122 +99,6 @@ SamplingEstimate stratified_estimate(
   e.stderr_ = std::sqrt(var);
   e.ci95_half = t_quantile_975(df) * e.stderr_;
   return e;
-}
-
-/// Settle every rank's activity accounting to `now` and total the DRAM
-/// energy across channels. Piecewise-safe: account_until is monotone, so
-/// mid-run settles compose with the final settle in finalize().
-double sampled_window_energy_mj(mem::MemorySystem& memory,
-                                const energy::DramPowerModel& power,
-                                Cycle now) {
-  double total = 0.0;
-  for (ChannelId ch = 0; ch < memory.num_channels(); ++ch) {
-    dram::Channel& channel = memory.controller(ch).channel();
-    channel.settle_accounting(now);
-    total += power.compute(channel).total_mj();
-  }
-  return total;
-}
-
-cpu::RunResult run_sampled(cpu::System& system, mem::MemorySystem& memory,
-                           const SamplingSpec& spec,
-                           std::uint64_t target_instructions,
-                           std::uint64_t max_cpu_cycles,
-                           SamplingSummary* out) {
-  ROP_ASSERT(spec.enabled);
-  system.begin_run(target_instructions, max_cpu_cycles);
-
-  const energy::DramPowerModel power(energy::DramEnergyParams{},
-                                     memory.config().timings);
-  Counter* const blocked =
-      memory.stats()->counter_handle("mem.refresh_blocked_cycles");
-  const double ratio = static_cast<double>(system.cpu_ratio());
-
-  auto total_instructions = [&] {
-    std::uint64_t n = 0;
-    for (CoreId c = 0; c < system.num_cores(); ++c) {
-      n += system.core(c).stats().instructions;
-    }
-    return n;
-  };
-
-  std::vector<double> ipc_obs;
-  std::vector<double> energy_obs;
-  std::vector<double> blocked_obs;
-  std::vector<WindowObservation> window_obs;
-  std::uint64_t measured = 0;
-  std::uint64_t functional = 0;
-  bool converged = false;
-  bool done = false;
-  while (!done) {
-    // Detailed warmup, excluded from the observation: the functional jump
-    // left queues, row buffers, and the MLP window cold.
-    done = system.advance_until(system.cpu_cycle() + spec.warmup_cycles);
-    if (done) break;
-
-    // Measured detailed window.
-    const std::uint64_t c0 = system.cpu_cycle();
-    const std::uint64_t i0 = total_instructions();
-    const std::uint64_t b0 = blocked->value();
-    const double e0 =
-        sampled_window_energy_mj(memory, power, c0 / system.cpu_ratio());
-    done = system.advance_until(c0 + spec.detail_cycles);
-    const std::uint64_t c1 = system.cpu_cycle();
-    if (c1 > c0) {
-      const double dc = static_cast<double>(c1 - c0);
-      const double dm = dc / ratio;  // memory cycles in the window
-      WindowObservation obs;
-      obs.index = window_obs.size();
-      obs.cpu_cycles = c1 - c0;
-      obs.ipc = static_cast<double>(total_instructions() - i0) / dc;
-      obs.refresh_blocked_per_mem_cycle =
-          static_cast<double>(blocked->value() - b0) / dm;
-      const double e1 =
-          sampled_window_energy_mj(memory, power, c1 / system.cpu_ratio());
-      obs.energy_mj_per_mcycle = (e1 - e0) * 1e6 / dm;
-      ipc_obs.push_back(obs.ipc);
-      blocked_obs.push_back(obs.refresh_blocked_per_mem_cycle);
-      energy_obs.push_back(obs.energy_mj_per_mcycle);
-      window_obs.push_back(obs);
-      measured += c1 - c0;
-    }
-    if (done) break;
-
-    const std::uint64_t n = ipc_obs.size();
-    if (spec.max_windows > 0 && n >= spec.max_windows) break;
-    if (spec.target_ci_frac > 0.0 && n >= spec.min_windows) {
-      const SamplingEstimate e = estimate_from(ipc_obs);
-      if (e.mean > 0.0 && e.ci95_half / e.mean <= spec.target_ci_frac) {
-        converged = true;
-        break;
-      }
-    }
-
-    // Functional fast-forward to the next sampling unit.
-    functional += system.functional_window(spec.functional_instructions,
-                                           spec.critical_penalty);
-    if (system.cores_remaining() == 0 ||
-        system.cpu_cycle() >= system.max_cpu_cycles()) {
-      break;
-    }
-  }
-
-  cpu::RunResult result = system.finish_run();
-  if (out != nullptr) {
-    out->enabled = true;
-    out->windows = ipc_obs.size();
-    out->measured_cpu_cycles = measured;
-    out->functional_cpu_cycles = functional;
-    out->ci_converged = converged;
-    out->placement = SamplingPlacement::kChained;
-    out->workers = 0;
-    out->strata = 0;
-    out->ipc = estimate_from(ipc_obs);
-    out->energy_mj_per_mcycle = estimate_from(energy_obs);
-    out->refresh_blocked_per_mem_cycle = estimate_from(blocked_obs);
-    out->observations = std::move(window_obs);
-  }
-  return result;
 }
 
 }  // namespace rop::sim

@@ -11,6 +11,14 @@ SimInstance build_sim_instance(const ExperimentSpec& spec,
   ROP_ASSERT(!spec.benchmarks.empty());
   const bool sharded = spec.shard_channels > 0;
 
+  // Parse a replayed trace before anything else: a malformed file must
+  // throw before a hook has attached to a memory system that unwinding
+  // would destroy under it.
+  std::vector<workload::TraceRecord> replay_records;
+  if (!spec.trace_file.empty()) {
+    replay_records = workload::read_trace_file(spec.trace_file);
+  }
+
   SimInstance inst;
   if (external_stats != nullptr) {
     inst.registry = external_stats;
@@ -45,10 +53,18 @@ SimInstance build_sim_instance(const ExperimentSpec& spec,
   if (sharded) inst.memory->mirror_channel_stats();
 
   std::vector<workload::TraceSource*> trace_ptrs;
-  for (std::size_t c = 0; c < spec.benchmarks.size(); ++c) {
-    inst.traces.push_back(std::make_unique<workload::SyntheticTrace>(
-        workload::spec_profile(spec.benchmarks[c], spec.seed_salt + c)));
-    trace_ptrs.push_back(inst.traces.back().get());
+  if (!spec.trace_file.empty()) {
+    for (std::size_t c = 0; c < spec.benchmarks.size(); ++c) {
+      inst.replays.push_back(
+          std::make_unique<workload::MemoryTrace>(replay_records));
+      trace_ptrs.push_back(inst.replays.back().get());
+    }
+  } else {
+    for (std::size_t c = 0; c < spec.benchmarks.size(); ++c) {
+      inst.traces.push_back(std::make_unique<workload::SyntheticTrace>(
+          workload::spec_profile(spec.benchmarks[c], spec.seed_salt + c)));
+      trace_ptrs.push_back(inst.traces.back().get());
+    }
   }
 
   cpu::SystemConfig sys_cfg =

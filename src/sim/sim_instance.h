@@ -23,6 +23,7 @@
 #include "sim/experiment.h"
 #include "sim/snapshot.h"
 #include "workload/synthetic.h"
+#include "workload/trace_io.h"
 
 namespace rop::sim {
 
@@ -34,6 +35,9 @@ struct SimInstance {
   std::unique_ptr<mem::MemorySystem> memory;
   std::vector<std::unique_ptr<engine::RopEngine>> engines;
   std::vector<std::unique_ptr<workload::SyntheticTrace>> traces;
+  /// Per-core trace-file replays when spec.trace_file is set (`traces` is
+  /// then empty; replays are never snapshotted).
+  std::vector<std::unique_ptr<workload::MemoryTrace>> replays;
   std::unique_ptr<cpu::System> system;
   std::uint32_t cpu_ratio = 0;
 
@@ -65,10 +69,12 @@ struct SimInstanceHooks {
 
 /// Build the full simulator for `spec` in the canonical registration order:
 /// memory system -> [hooks.post_memory] -> ROP engines ->
-/// [hooks.post_engines] -> channel-stat mirror (sharded only) -> traces ->
-/// CPU system. `external_stats` non-null routes every registration into the
-/// caller's registry (run_experiment's result.stats); null gives the
-/// instance its own.
+/// [hooks.post_engines] -> channel-stat mirror (sharded only) -> traces
+/// (synthetic profiles, or spec.trace_file replays) -> CPU system.
+/// `external_stats` non-null routes every registration into the caller's
+/// registry (run_experiment's result.stats); null gives the instance its
+/// own. Throws std::runtime_error when spec.trace_file cannot be read or
+/// parsed (workload::read_trace_file), before any hook runs.
 [[nodiscard]] SimInstance build_sim_instance(
     const ExperimentSpec& spec, StatRegistry* external_stats = nullptr,
     const SimInstanceHooks& hooks = {});

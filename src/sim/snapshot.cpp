@@ -76,11 +76,12 @@ std::string spec_canonical(const ExperimentSpec& spec) {
      << spec.sampling.critical_penalty << ',' << spec.sampling.min_windows
      << ',' << spec.sampling.max_windows << ','
      << spec.sampling.target_ci_frac;
-  // Planned mode and the stratum count both shape the output (placement
-  // grid, estimator); the worker count deliberately does not — jobs=1 and
-  // jobs=8 must interchange snapshots and produce identical stats.
-  os << ";planned=" << (spec.sampling.jobs > 0) << ','
-     << spec.sampling.strata;
+  // The stratum count shapes the output (placement grid, estimator); the
+  // worker count deliberately does not — jobs=1 and jobs=8 must interchange
+  // snapshots and produce identical stats. "planned" repeats `enabled`
+  // (every sampled run is planned); the token stays so fingerprints stored
+  // in existing snapshots and campaign checkpoints keep their values.
+  os << ";planned=" << spec.sampling.enabled << ',' << spec.sampling.strata;
   // Snapshot paths and the checker flag are deliberately absent: they do
   // not shape simulated behavior, and the save/restore sides differ in
   // them by construction.

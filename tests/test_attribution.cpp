@@ -52,7 +52,6 @@ constexpr MemoryMode kAllModes[] = {
 
 TEST(CpiStack, SumsToCyclesOnEveryModeAndLoop) {
   constexpr cpu::LoopMode kLoops[] = {cpu::LoopMode::kNaive,
-                                      cpu::LoopMode::kFrozenStall,
                                       cpu::LoopMode::kEventDriven};
   for (const MemoryMode mode : kAllModes) {
     std::vector<ExperimentResult> per_loop;

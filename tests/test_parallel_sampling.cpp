@@ -1,5 +1,5 @@
 // Checkpoint-spawned parallel sampling (sim/parallel_sampling): the
-// determinism contract (observation set bit-identical to the sequential
+// determinism contract (observation set bit-identical to the one-worker
 // pool at every worker count, across schemes), the stratified-placement
 // accuracy win under a window budget, deterministic auto-stop, the
 // worker-budget accounting shared with the campaign engine, and
@@ -71,7 +71,7 @@ void expect_same_observations(const SamplingSummary& a,
 }
 
 // ---------------------------------------------------------------------------
-// (a) Observation-set bit-identity, sequential pool vs N workers, at fixed
+// (a) Observation-set bit-identity, one worker vs N workers, at fixed
 // placement, across the scheme zoo the sweeps actually run.
 
 class ParallelSamplingIdentity
@@ -159,7 +159,7 @@ TEST(ParallelSampling, StratifiedBeatsUniformUnderWindowBudget) {
 
 // ---------------------------------------------------------------------------
 // Deterministic auto-stop: --sample-target-ci under parallel dispatch must
-// pick the same window count as the sequential pool — the stop decision for
+// pick the same window count as the one-worker pool — the stop decision for
 // ordinal n only looks at the completed prefix n - kAutoStopLookahead.
 
 TEST(ParallelSampling, AutoStopPicksSameWindowCountAtEveryWorkerCount) {
@@ -180,14 +180,14 @@ TEST(ParallelSampling, AutoStopPicksSameWindowCountAtEveryWorkerCount) {
 }
 
 // ---------------------------------------------------------------------------
-// Worker accounting: a planned-sampled spec occupies `jobs` workers, and
+// Worker accounting: a sampled spec occupies `jobs` workers, and
 // the shared budget rule keeps cells x window-jobs within the machine.
 
 TEST(WorkerBudget, SampledCellCountsItsWindowJobs) {
   ExperimentSpec spec = planned_spec("lbm", MemoryMode::kRop, 4);
   EXPECT_EQ(experiment_worker_width(spec), 4u);
 
-  spec.sampling.jobs = 0;  // chained sampling: serial, width 1
+  spec.sampling.jobs = 1;  // the default: one window worker, width 1
   EXPECT_EQ(experiment_worker_width(spec), 1u);
 
   spec.sampling.enabled = false;
@@ -200,7 +200,7 @@ TEST(WorkerBudget, SampledCellCountsItsWindowJobs) {
 }
 
 TEST(WorkerBudget, FourSampledCellsOnAnEightBudgetRunTwoAtATime) {
-  // 4 campaign cells, each a planned-sampled run with 4 window workers, on
+  // 4 campaign cells, each a sampled run with 4 window workers, on
   // a machine budget of 8 hardware threads: the derived job count must be
   // 2 (2 cells x 4 window workers = 8), never 4 (16 threads).
   EXPECT_EQ(worker_budget(/*requested_jobs=*/0, /*shards_per_job=*/4,
@@ -269,7 +269,7 @@ TEST(ParallelSampledCampaign, ExpandsSamplingBlockAndRejectsConflicts) {
   }
 
   // Sampling is mutually exclusive with intra-cell checkpoints, sharding,
-  // and epoch telemetry; strata without a planner is also an error.
+  // and epoch telemetry; zero window workers is also an error.
   const auto with_snap = json::parse(
       R"({"snapshot_every": 1000, "sampling": {"jobs": 2},
           "axes": {"benchmark": ["lbm"]}})");
@@ -284,11 +284,20 @@ TEST(ParallelSampledCampaign, ExpandsSamplingBlockAndRejectsConflicts) {
   EXPECT_FALSE(expand_campaign(*with_shards, &err).has_value());
   EXPECT_NE(err.find("serial"), std::string::npos);
 
+  const auto zero_jobs = json::parse(
+      R"({"sampling": {"jobs": 0}, "axes": {"benchmark": ["lbm"]}})");
+  ASSERT_TRUE(zero_jobs.has_value());
+  EXPECT_FALSE(expand_campaign(*zero_jobs, &err).has_value());
+  EXPECT_NE(err.find("sampling.jobs"), std::string::npos);
+
+  // Strata alone runs on the default single window worker.
   const auto bare_strata = json::parse(
       R"({"sampling": {"strata": 4}, "axes": {"benchmark": ["lbm"]}})");
   ASSERT_TRUE(bare_strata.has_value());
-  EXPECT_FALSE(expand_campaign(*bare_strata, &err).has_value());
-  EXPECT_NE(err.find("strata"), std::string::npos);
+  const auto strata_cells = expand_campaign(*bare_strata, &err);
+  ASSERT_TRUE(strata_cells.has_value()) << err;
+  EXPECT_EQ(strata_cells->front().spec.sampling.jobs, 1u);
+  EXPECT_EQ(strata_cells->front().spec.sampling.strata, 4u);
 }
 
 TEST(ParallelSampledCampaign, KillAndResumeStaysByteIdentical) {

@@ -1,8 +1,9 @@
-// SMARTS-style sampled execution: statistical machinery (t quantiles, the
-// mean/stderr/CI estimator), determinism of the sampled loop, and the
-// headline accuracy contract — on every SPEC-like profile, the sampled
-// IPC and energy estimates must contain the exact event-driven run's value
-// inside their emitted 95% confidence interval.
+// SMARTS-style sampled execution at its defaults (the planner with one
+// window worker): statistical machinery (t quantiles, the mean/stderr/CI
+// estimator), determinism of a sampled run, and the headline accuracy
+// contract — on every SPEC-like profile, the sampled IPC and energy
+// estimates must contain the exact event-driven run's value inside their
+// emitted 95% confidence interval.
 #include <gtest/gtest.h>
 
 #include <cmath>

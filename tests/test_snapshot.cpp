@@ -185,6 +185,24 @@ TEST(SnapshotHeader, FingerprintCoversBehaviorShapingFields) {
             config_fingerprint(spec_canonical(c)));
 }
 
+// Fingerprints are persisted in snapshot files and campaign checkpoints, so
+// their values are pinned: a refactor that renumbers a spec enum or drops a
+// canonical token would silently reject every existing checkpoint as stale.
+TEST(SnapshotHeader, FingerprintValuesArePinned) {
+  EXPECT_EQ(config_fingerprint(spec_canonical(ExperimentSpec{})),
+            0xbf8d765046fd442dULL);
+  EXPECT_EQ(config_fingerprint(spec_canonical(
+                single_core_spec("lbm", MemoryMode::kRop))),
+            0xce76d399e2d2765eULL);
+
+  ExperimentSpec sampled = single_core_spec("lbm", MemoryMode::kRop);
+  sampled.sampling.enabled = true;
+  sampled.sampling.jobs = 4;
+  sampled.sampling.strata = 8;
+  EXPECT_EQ(config_fingerprint(spec_canonical(sampled)),
+            0x7952a703eb879598ULL);
+}
+
 // ---------------------------------------------------------------------------
 // The bit-identity matrix.
 
@@ -247,11 +265,13 @@ TEST_P(SnapshotSplit, EventLoopSerial) {
                      memory_mode_name(GetParam())));
 }
 
-TEST_P(SnapshotSplit, FrozenStallLoopSerial) {
+TEST_P(SnapshotSplit, NaiveLoopSerial) {
+  // The cross-checking oracle checkpoints too: its per-cycle loop state
+  // (no skip bound, eagerly billed stalls) must survive a split.
   ExperimentSpec spec = matrix_spec(GetParam());
-  spec.loop = cpu::LoopMode::kFrozenStall;
+  spec.loop = cpu::LoopMode::kNaive;
   expect_split_identical(
-      spec, tmp_path(std::string("frozen_serial_") +
+      spec, tmp_path(std::string("naive_serial_") +
                      memory_mode_name(GetParam())));
 }
 

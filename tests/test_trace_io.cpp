@@ -5,6 +5,8 @@
 #include <filesystem>
 #include <fstream>
 
+#include "sim/experiment.h"
+#include "workload/spec_profiles.h"
 #include "workload/synthetic.h"
 #include "workload/trace_io.h"
 
@@ -117,6 +119,29 @@ TEST_F(TraceIoTest, GeneratorCaptureSurvivesFileRoundTrip) {
   for (std::size_t i = 0; i < recs.size(); ++i) {
     EXPECT_EQ(back[i].addr, recs[i].addr);
   }
+}
+
+// ExperimentSpec::trace_file: replaying a captured prefix of a profile's
+// generator reproduces the generator run's whole stats document, as long as
+// the run retires inside the captured prefix.
+TEST_F(TraceIoTest, TraceFileSpecReproducesGeneratorRun) {
+  SyntheticTrace gen(spec_profile("libquantum"));
+  const auto recs = capture(gen, 20'000);
+  write_trace_file(path("lq.trace"), recs);
+  std::uint64_t prefix_instructions = 0;
+  for (const TraceRecord& r : recs) prefix_instructions += r.gap + 1;
+
+  sim::ExperimentSpec spec =
+      sim::single_core_spec("libquantum", sim::MemoryMode::kRop);
+  spec.instructions_per_core = prefix_instructions * 9 / 10;
+  sim::ExperimentResult from_generator = sim::run_experiment(spec);
+  spec.trace_file = path("lq.trace");
+  sim::ExperimentResult from_file = sim::run_experiment(spec);
+
+  EXPECT_GE(from_file.run.cores[0].instructions, spec.instructions_per_core);
+  EXPECT_GT(from_file.run.cores[0].mem_reads, 0u);
+  from_generator.wall_seconds = from_file.wall_seconds = 0.0;
+  EXPECT_EQ(from_generator.to_json(), from_file.to_json());
 }
 
 }  // namespace

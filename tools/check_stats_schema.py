@@ -23,11 +23,9 @@ Checks, per document:
     integers, and each estimate (ipc, energy_mj_per_mcycle,
     refresh_blocked_per_mem_cycle) carries mean/stderr/ci95_half with
     ci95_half >= stderr >= 0; documents at schema_version >= 4
-    additionally carry placement ("chained" | "uniform" | "stratified"),
-    workers, and strata: "chained" means the sequential loop (workers and
-    strata both 0), "uniform"/"stratified" mean the parallel planner ran
-    (workers >= 1), and strata >= 1 exactly when placement is
-    "stratified"
+    additionally carry placement ("uniform" | "stratified"), workers
+    >= 1 (the planner's window workers), and strata, which is >= 1
+    exactly when placement is "stratified"
   - with --require-sampling: the sampling section is non-null with at
     least one window, and the document declares schema_version >= 2
   - the attribution section (schema_version 3), when present: cpu_ratio is
@@ -161,24 +159,19 @@ def check_sampling(doc, where, errors, require_sampling):
         placement = sampling.get("placement")
         workers = sampling.get("workers")
         strata = sampling.get("strata")
-        if placement not in ("chained", "uniform", "stratified"):
+        if placement not in ("uniform", "stratified"):
             fail(errors, where,
                  f"sampling 'placement' is not one of "
-                 f"chained/uniform/stratified: {placement!r}")
-        for field, v in (("workers", workers), ("strata", strata)):
-            if not isinstance(v, int) or v < 0:
-                fail(errors, where,
-                     f"sampling '{field}' is not a non-negative integer: "
-                     f"{v!r}")
-        if isinstance(workers, int) and isinstance(strata, int):
-            if placement == "chained" and (workers != 0 or strata != 0):
-                fail(errors, where,
-                     f"chained placement must have workers == strata == 0, "
-                     f"got workers={workers} strata={strata}")
-            if placement in ("uniform", "stratified") and workers < 1:
-                fail(errors, where,
-                     f"{placement} placement needs workers >= 1, got "
-                     f"{workers}")
+                 f"uniform/stratified: {placement!r}")
+        if not isinstance(workers, int) or workers < 1:
+            fail(errors, where,
+                 f"sampling 'workers' is not a positive integer: "
+                 f"{workers!r}")
+        if not isinstance(strata, int) or strata < 0:
+            fail(errors, where,
+                 f"sampling 'strata' is not a non-negative integer: "
+                 f"{strata!r}")
+        if isinstance(strata, int):
             if placement == "uniform" and strata != 0:
                 fail(errors, where,
                      f"uniform placement must have strata == 0, got "
