@@ -161,7 +161,7 @@ void SimChecker::check_queue_counters(const mem::Controller& c, Cycle now) {
 
 void SimChecker::check_refresh_deadlines(const mem::Controller& c,
                                          Cycle now) {
-  if (!c.config().refresh_enabled) return;
+  if (c.config().policy == mem::RefreshPolicy::kNoRefresh) return;
   const auto& rm = c.refresh_manager();
   const std::uint32_t budget =
       c.channel().timings().max_postponed_refreshes;

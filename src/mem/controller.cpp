@@ -14,10 +14,7 @@ Controller::Controller(ChannelId id, const dram::DramTimings& timings,
       cfg_(cfg),
       channel_(timings, org),
       rm_(timings, org.ranks,
-          cfg.per_bank_refresh || policy_uses_bank_units(cfg.policy)
-              ? org.banks
-              : 1,
-          stats),
+          policy_uses_bank_units(cfg.policy) ? org.banks : 1, stats),
       scheduler_(cfg.sched),
       blocking_(org.ranks, timings.tRFC),
       stats_(stats),
@@ -41,9 +38,6 @@ Controller::Controller(ChannelId id, const dram::DramTimings& timings,
       darp_round_mask_(org.ranks, 0),
       next_refresh_sub_(static_cast<std::size_t>(org.ranks) * org.banks, 0) {
   ROP_ASSERT(stats != nullptr);
-  // Per-bank refresh replaces the whole-rank policies.
-  ROP_ASSERT(!cfg.per_bank_refresh ||
-             cfg.policy == RefreshPolicy::kAutoRefresh);
   // Subarray-targeted policies need the subarray-aware bank model.
   ROP_ASSERT(!policy_uses_subarrays(cfg.policy) || org.subarrays > 1);
   h_.reads = stats->counter_handle("mem.reads");
@@ -372,266 +366,234 @@ void Controller::complete_bursts(Cycle now) {
   inflight_min_completion_ = min_completion;
 }
 
-bool Controller::issue_refresh_commands(RankId r, Cycle now) {
-  dram::Rank& rank = channel_.rank(r);
-  dram::Command ref{dram::CmdType::kRefresh, DramCoord{id_, r, 0, 0, 0}, 0};
-  if (channel_.can_issue(ref, now)) {
-    // Any prefetch that failed to issue before the seal is pointless now.
-    drop_prefetches(r);
-    // Snapshot before the bookkeeping resets: postponement depth at issue
-    // and the due-time lock this REF closes.
-    if (trace_ != nullptr && trace_->wants(telemetry::kCatRefresh)) {
-      telemetry::TraceEvent e;
-      e.category = telemetry::kCatRefresh;
-      e.channel = static_cast<std::uint16_t>(id_);
-      e.rank = static_cast<std::uint16_t>(r);
-      if (locked_at_[r] != kNeverCycle && now > locked_at_[r]) {
-        e.ts = locked_at_[r];
-        e.dur = now - locked_at_[r];
-        e.kind = telemetry::EventKind::kRankLock;
-        trace_->record(e);
-      }
-      e.ts = now;
-      e.dur = channel_.timings().tRFC;
-      e.kind = telemetry::EventKind::kRefreshWindow;
-      e.arg = rm_.owed(r, now);
-      trace_->record(e);
-    }
-    channel_.issue(ref, now);
-    rm_.on_refresh_issued(r);
-    blocking_.on_refresh_start(r, now);
-    // Every read still queued to the rank is frozen for the full tRFC.
-    charge_refresh_blocking(pending_reads_[r], channel_.timings().tRFC);
-    for (const RequestIndex qidx : reads_by_rank_[r]) {
-      arena_[qidx].blocked_rank +=
-          static_cast<std::uint32_t>(channel_.timings().tRFC);
-    }
-    h_.refreshes->inc();
-    phase_[r] = RefreshPhase::kIdle;
-    locked_at_[r] = kNeverCycle;
-    drain_pending_[r] = 0;
-    if (listener_ != nullptr) {
-      listener_->on_refresh_issued(r, now, rank.refresh_done());
-    }
-    return true;
-  }
-  // Close open banks so REF becomes legal.
-  for (BankId b = 0; b < rank.num_banks(); ++b) {
-    if (rank.bank(b).state() != dram::BankState::kActive) continue;
-    dram::Command pre{dram::CmdType::kPrecharge, DramCoord{id_, r, b, 0, 0},
-                      0};
-    if (channel_.can_issue(pre, now)) {
-      channel_.issue(pre, now);
-      return true;
-    }
-  }
-  return false;
-}
-
 bool Controller::manage_refresh(Cycle now) {
   bool issued = false;
   for (RankId r = 0; r < channel_.num_ranks(); ++r) {
-    dram::Rank& rank = channel_.rank(r);
-    if (rank.refreshing()) continue;
-    const std::uint32_t owed = rm_.owed(r, now);
-    if (owed == 0) continue;
-
-    const bool urgent = rm_.urgent(r, now);
-
-    if (phase_[r] == RefreshPhase::kIdle) {
-      switch (cfg_.policy) {
-        case RefreshPolicy::kAutoRefresh:
-          locked_at_[r] = now;
-          phase_[r] = RefreshPhase::kSealing;
-          break;
-        case RefreshPolicy::kElastic: {
-          // Wait for a rank-idle window whose required length shrinks as
-          // the postponement backlog grows; force at the JEDEC budget.
-          if (!urgent) {
-            const std::uint32_t budget =
-                channel_.timings().max_postponed_refreshes;
-            const std::uint32_t slack = owed >= budget ? 0 : budget - owed;
-            const Cycle threshold =
-                cfg_.elastic_base_idle * slack / budget;
-            if (now - last_arrival_[r] < threshold) continue;
-          }
-          locked_at_[r] = now;
-          phase_[r] = RefreshPhase::kSealing;
-          break;
-        }
-        case RefreshPolicy::kRopDrain:
-          locked_at_[r] = now;
-          phase_[r] = RefreshPhase::kDraining;
-          break;
-        case RefreshPolicy::kPausing:
-        case RefreshPolicy::kDarp:
-        case RefreshPolicy::kSarp:
-        case RefreshPolicy::kHira:
-          ROP_ASSERT(false && "policy has a dedicated manage path");
-          break;
-      }
-      if (phase_[r] != RefreshPhase::kIdle) {
-        // Snapshot the drain target: every queued read to this rank
-        // arrived strictly before `now`, so all of them predate the lock
-        // (same-cycle arrivals land after this tick and bump the counter
-        // in enqueue).
-        drain_pending_[r] = pending_reads_[r];
-      }
+    // A REF (or pausing segment) in flight: nothing to decide until it ends.
+    if (channel_.rank(r).refreshing()) continue;
+    switch (cfg_.policy) {
+      case RefreshPolicy::kNoRefresh:
+        return false;
+      case RefreshPolicy::kAutoRefresh:
+      case RefreshPolicy::kElastic:
+      case RefreshPolicy::kRopDrain:
+        issued = refresh_rank(r, now, !issued) || issued;
+        break;
+      case RefreshPolicy::kPausing:
+        issued = refresh_pausing(r, now, !issued) || issued;
+        break;
+      case RefreshPolicy::kPerBank:
+      case RefreshPolicy::kDarp:
+      case RefreshPolicy::kSarp:
+      case RefreshPolicy::kHira:
+        // Nothing to advance for the other ranks once the bus is taken.
+        if (issued) return true;
+        issued = refresh_bank_unit(r, now);
+        break;
     }
-
-    const bool within_bound = now < locked_at_[r] + cfg_.drain_bound;
-
-    if (phase_[r] == RefreshPhase::kDraining) {
-      if (!urgent && within_bound && drain_pending_[r] > 0) {
-        continue;  // drain still in progress; demand keeps flowing
-      }
-      // Drain complete: seal the rank. Demand freezes here, which makes
-      // this the moment the ROP engine stages its prefetch round — the
-      // prediction tables reflect the final pre-refresh stream position.
-      phase_[r] = RefreshPhase::kSealing;
-      if (listener_ != nullptr) listener_->on_rank_locked(r, now);
-    }
-
-    // While sealing, staged prefetches own the bus for this rank; REF goes
-    // out once they land (or the budget runs out).
-    if (cfg_.policy == RefreshPolicy::kRopDrain && !urgent && within_bound &&
-        pending_prefetches(r) > 0) {
-      continue;
-    }
-    if (urgent) drop_prefetches(r);
-
-    if (issued) continue;  // command bus already used this cycle
-    issued = issue_refresh_commands(r, now);
   }
   return issued;
 }
 
-bool Controller::manage_refresh_pausing(Cycle now) {
-  bool issued = false;
-  for (RankId r = 0; r < channel_.num_ranks(); ++r) {
-    dram::Rank& rank = channel_.rank(r);
-    if (rank.refreshing()) continue;  // a segment is executing
-
-    if (refresh_remaining_[r] == 0) {
-      if (rm_.owed(r, now) == 0) continue;
-      refresh_remaining_[r] = channel_.timings().tRFC;
-      refresh_started_[r] = false;
-      refresh_window_opened_[r] = false;
-    }
-
-    const bool urgent = rm_.urgent(r, now);
-    // Pause: while demand is pending and the budget allows, the rank stays
-    // available and the scheduler services requests between segments. Each
-    // resume pays the re-lock overhead.
-    if (!urgent && pending_demand(r) > 0) {
-      if (refresh_started_[r]) {
-        h_.refresh_pauses->inc();
-        refresh_remaining_[r] += cfg_.pause_overhead;
-        refresh_started_[r] = false;  // count one pause per gap
-      }
-      continue;
-    }
-
-    if (issued) continue;
-
-    // All banks must be precharged before a segment may begin.
-    dram::Command ref{dram::CmdType::kRefresh, DramCoord{id_, r, 0, 0, 0}, 0};
-    if (!channel_.can_issue(ref, now)) {
-      for (BankId b = 0; b < rank.num_banks(); ++b) {
-        if (rank.bank(b).state() != dram::BankState::kActive) continue;
-        dram::Command pre{dram::CmdType::kPrecharge,
-                          DramCoord{id_, r, b, 0, 0}, 0};
-        if (channel_.can_issue(pre, now)) {
-          channel_.issue(pre, now);
-          issued = true;
-          break;
-        }
-      }
-      continue;
-    }
-
-    const Cycle duration =
-        urgent ? refresh_remaining_[r]
-               : std::min<Cycle>(cfg_.pause_quantum, refresh_remaining_[r]);
-    // Open the blocking window exactly once per refresh obligation. The
-    // first-segment test must not be inferred from refresh_remaining_:
-    // pause overhead grows it, so with pause_overhead >= pause_quantum it
-    // can return to (or overshoot) tRFC mid-refresh and the sentinel
-    // mis-counts window starts.
-    if (!refresh_window_opened_[r]) {
-      blocking_.on_refresh_start(r, now);
-      refresh_window_opened_[r] = true;
-      // Nominal tRFC span; the actual segments (and their pause gaps) are
-      // traced individually via begin_refresh_segment.
-      if (trace_ != nullptr && trace_->wants(telemetry::kCatRefresh)) {
-        telemetry::TraceEvent e;
-        e.ts = now;
-        e.dur = channel_.timings().tRFC;
-        e.arg = rm_.owed(r, now);
-        e.kind = telemetry::EventKind::kRefreshWindow;
-        e.category = telemetry::kCatRefresh;
-        e.channel = static_cast<std::uint16_t>(id_);
-        e.rank = static_cast<std::uint16_t>(r);
-        trace_->record(e);
-      }
-    }
-    channel_.begin_refresh_segment(r, now, duration);
-    charge_refresh_blocking(pending_reads_[r], duration);
-    for (const RequestIndex qidx : reads_by_rank_[r]) {
-      arena_[qidx].blocked_pause += static_cast<std::uint32_t>(duration);
-    }
-    refresh_started_[r] = true;
-    refresh_remaining_[r] -= duration;
-    if (refresh_remaining_[r] == 0) {
-      rm_.on_refresh_issued(r);
-      h_.refreshes->inc();
-      refresh_started_[r] = false;
-    }
-    issued = true;
-  }
-  return issued;
+Cycle Controller::elastic_idle_threshold(std::uint32_t owed) const {
+  const std::uint32_t budget = channel_.timings().max_postponed_refreshes;
+  const std::uint32_t slack = owed >= budget ? 0 : budget - owed;
+  return cfg_.elastic_base_idle * slack / budget;
 }
 
-bool Controller::manage_refresh_per_bank(Cycle now) {
-  bool issued = false;
-  for (RankId r = 0; r < channel_.num_ranks(); ++r) {
-    dram::Rank& rank = channel_.rank(r);
-    if (rank.refreshing()) continue;
-    if (rm_.owed(r, now) == 0) continue;
+bool Controller::drain_holds(RankId r, Cycle now, bool urgent) const {
+  return !urgent && now < locked_at_[r] + cfg_.drain_bound &&
+         drain_pending_[r] > 0;
+}
 
-    const BankId b = next_refresh_bank_[r];
-    dram::Bank& bank = rank.bank(b);
-    if (bank.state() == dram::BankState::kRefreshing) continue;
-    if (issued) continue;
+bool Controller::pause_holds(RankId r, Cycle now) const {
+  return !rm_.urgent(r, now) && pending_demand(r) > 0;
+}
 
-    if (bank.state() == dram::BankState::kActive) {
-      dram::Command pre{dram::CmdType::kPrecharge, DramCoord{id_, r, b, 0, 0},
-                        0};
-      if (channel_.can_issue(pre, now)) {
-        channel_.issue(pre, now);
-        issued = true;
-      }
-      continue;
+bool Controller::prefetch_holds(RankId r, Cycle now, bool urgent) const {
+  return cfg_.policy == RefreshPolicy::kRopDrain && !urgent &&
+         now < locked_at_[r] + cfg_.drain_bound && pending_prefetches(r) > 0;
+}
+
+Controller::SealStep Controller::seal_step(RankId r, Cycle now) const {
+  const dram::Rank& rank = channel_.rank(r);
+  SealStep step{dram::Command{dram::CmdType::kRefresh,
+                              DramCoord{id_, r, 0, 0, 0}, 0},
+                kNeverCycle};
+  bool any_active = false;
+  for (BankId b = 0; b < rank.num_banks(); ++b) {
+    if (rank.bank(b).state() != dram::BankState::kActive) continue;
+    const dram::Command pre{dram::CmdType::kPrecharge,
+                            DramCoord{id_, r, b, 0, 0}, 0};
+    const Cycle ready = std::max(channel_.earliest_issue(pre), now);
+    if (ready < step.ready) step = SealStep{pre, ready};
+    any_active = true;
+    if (ready == now) break;  // the first legal PRE goes out
+  }
+  // An open row never closes by itself, so REF waits on the PREs above;
+  // with every bank closed it waits for the slowest precharge recovery.
+  if (!any_active) step.ready = rank.earliest_refresh_ready();
+  return step;
+}
+
+void Controller::issue_refresh(RankId r, Cycle now) {
+  const dram::Rank& rank = channel_.rank(r);
+  // Any prefetch that failed to issue before the seal is pointless now.
+  drop_prefetches(r);
+  // Snapshot before the bookkeeping resets: postponement depth at issue
+  // and the due-time lock this REF closes.
+  if (trace_ != nullptr && trace_->wants(telemetry::kCatRefresh)) {
+    telemetry::TraceEvent e;
+    e.category = telemetry::kCatRefresh;
+    e.channel = static_cast<std::uint16_t>(id_);
+    e.rank = static_cast<std::uint16_t>(r);
+    if (locked_at_[r] != kNeverCycle && now > locked_at_[r]) {
+      e.ts = locked_at_[r];
+      e.dur = now - locked_at_[r];
+      e.kind = telemetry::EventKind::kRankLock;
+      trace_->record(e);
     }
-    dram::Command refpb{dram::CmdType::kRefreshBank,
-                        DramCoord{id_, r, b, 0, 0}, 0};
-    if (channel_.can_issue(refpb, now)) {
-      channel_.issue(refpb, now);
-      rm_.on_refresh_issued(r);
-      h_.bank_refreshes->inc();
-      charge_refresh_blocking(reads_by_bank_count_[bank_slot(r, b)],
-                              channel_.timings().tRFCpb);
-      for (const RequestIndex qidx : reads_by_rank_[r]) {
-        if (arena_[qidx].coord.bank != b) continue;
-        arena_[qidx].blocked_bank +=
-            static_cast<std::uint32_t>(channel_.timings().tRFCpb);
-      }
-      next_refresh_bank_[r] =
-          static_cast<BankId>((b + 1) % rank.num_banks());
-      issued = true;
+    e.ts = now;
+    e.dur = channel_.timings().tRFC;
+    e.kind = telemetry::EventKind::kRefreshWindow;
+    e.arg = rm_.owed(r, now);
+    trace_->record(e);
+  }
+  channel_.issue(
+      dram::Command{dram::CmdType::kRefresh, DramCoord{id_, r, 0, 0, 0}, 0},
+      now);
+  rm_.on_refresh_issued(r);
+  blocking_.on_refresh_start(r, now);
+  // Every read still queued to the rank is frozen for the full tRFC.
+  charge_refresh_blocking(pending_reads_[r], channel_.timings().tRFC);
+  for (const RequestIndex qidx : reads_by_rank_[r]) {
+    arena_[qidx].blocked_rank +=
+        static_cast<std::uint32_t>(channel_.timings().tRFC);
+  }
+  h_.refreshes->inc();
+  phase_[r] = RefreshPhase::kIdle;
+  locked_at_[r] = kNeverCycle;
+  drain_pending_[r] = 0;
+  if (listener_ != nullptr) {
+    listener_->on_refresh_issued(r, now, rank.refresh_done());
+  }
+}
+
+bool Controller::refresh_rank(RankId r, Cycle now, bool bus_free) {
+  const std::uint32_t owed = rm_.owed(r, now);
+  if (owed == 0) return false;
+  const bool urgent = rm_.urgent(r, now);
+
+  if (phase_[r] == RefreshPhase::kIdle) {
+    // Elastic waits for a rank-idle window whose required length shrinks
+    // as the backlog grows; the JEDEC budget forces it.
+    if (cfg_.policy == RefreshPolicy::kElastic && !urgent &&
+        now - last_arrival_[r] < elastic_idle_threshold(owed)) {
+      return false;
+    }
+    locked_at_[r] = now;
+    phase_[r] = cfg_.policy == RefreshPolicy::kRopDrain
+                    ? RefreshPhase::kDraining
+                    : RefreshPhase::kSealing;
+    // Snapshot the drain target: every queued read to this rank arrived
+    // strictly before `now`, so all of them predate the lock (same-cycle
+    // arrivals land after this tick and bump the counter in enqueue).
+    drain_pending_[r] = pending_reads_[r];
+  }
+
+  if (phase_[r] == RefreshPhase::kDraining) {
+    if (drain_holds(r, now, urgent)) return false;  // demand keeps flowing
+    // Drain complete: seal the rank. Demand freezes here, which makes
+    // this the moment the ROP engine stages its prefetch round — the
+    // prediction tables reflect the final pre-refresh stream position.
+    phase_[r] = RefreshPhase::kSealing;
+    if (listener_ != nullptr) listener_->on_rank_locked(r, now);
+  }
+
+  // While sealing, staged prefetches own the bus for this rank; REF goes
+  // out once they land (or the budget runs out).
+  if (prefetch_holds(r, now, urgent)) return false;
+  if (urgent) drop_prefetches(r);
+
+  if (!bus_free) return false;
+  const SealStep seal = seal_step(r, now);
+  if (!channel_.can_issue(seal.cmd, now)) return false;
+  if (seal.cmd.type == dram::CmdType::kRefresh) {
+    issue_refresh(r, now);
+  } else {
+    channel_.issue(seal.cmd, now);
+  }
+  return true;
+}
+
+bool Controller::refresh_pausing(RankId r, Cycle now, bool bus_free) {
+  if (refresh_remaining_[r] == 0) {
+    if (rm_.owed(r, now) == 0) return false;
+    refresh_remaining_[r] = channel_.timings().tRFC;
+    refresh_started_[r] = false;
+    refresh_window_opened_[r] = false;
+  }
+
+  // Pause: while demand is pending and the budget allows, the rank stays
+  // available and the scheduler services requests between segments. Each
+  // resume pays the re-lock overhead.
+  if (pause_holds(r, now)) {
+    if (refresh_started_[r]) {
+      h_.refresh_pauses->inc();
+      refresh_remaining_[r] += cfg_.pause_overhead;
+      refresh_started_[r] = false;  // count one pause per gap
+    }
+    return false;
+  }
+
+  if (!bus_free) return false;
+  // All banks must be precharged before a segment may begin.
+  const SealStep seal = seal_step(r, now);
+  if (!channel_.can_issue(seal.cmd, now)) return false;
+  if (seal.cmd.type == dram::CmdType::kPrecharge) {
+    channel_.issue(seal.cmd, now);
+    return true;
+  }
+
+  const Cycle duration =
+      rm_.urgent(r, now)
+          ? refresh_remaining_[r]
+          : std::min<Cycle>(cfg_.pause_quantum, refresh_remaining_[r]);
+  // Open the blocking window exactly once per refresh obligation. The
+  // first-segment test must not be inferred from refresh_remaining_:
+  // pause overhead grows it, so with pause_overhead >= pause_quantum it
+  // can return to (or overshoot) tRFC mid-refresh and the sentinel
+  // mis-counts window starts.
+  if (!refresh_window_opened_[r]) {
+    blocking_.on_refresh_start(r, now);
+    refresh_window_opened_[r] = true;
+    // Nominal tRFC span; the actual segments (and their pause gaps) are
+    // traced individually via begin_refresh_segment.
+    if (trace_ != nullptr && trace_->wants(telemetry::kCatRefresh)) {
+      telemetry::TraceEvent e;
+      e.ts = now;
+      e.dur = channel_.timings().tRFC;
+      e.arg = rm_.owed(r, now);
+      e.kind = telemetry::EventKind::kRefreshWindow;
+      e.category = telemetry::kCatRefresh;
+      e.channel = static_cast<std::uint16_t>(id_);
+      e.rank = static_cast<std::uint16_t>(r);
+      trace_->record(e);
     }
   }
-  return issued;
+  channel_.begin_refresh_segment(r, now, duration);
+  charge_refresh_blocking(pending_reads_[r], duration);
+  for (const RequestIndex qidx : reads_by_rank_[r]) {
+    arena_[qidx].blocked_pause += static_cast<std::uint32_t>(duration);
+  }
+  refresh_started_[r] = true;
+  refresh_remaining_[r] -= duration;
+  if (refresh_remaining_[r] == 0) {
+    rm_.on_refresh_issued(r);
+    h_.refreshes->inc();
+    refresh_started_[r] = false;
+  }
+  return true;
 }
 
 bool Controller::darp_bank_idle(RankId r, BankId b) const {
@@ -661,61 +623,86 @@ BankId Controller::darp_pick_bank(RankId r, bool urgent) const {
   return urgent ? fallback : static_cast<BankId>(nb);
 }
 
-bool Controller::manage_refresh_darp(Cycle now) {
-  bool issued = false;
-  for (RankId r = 0; r < channel_.num_ranks(); ++r) {
-    dram::Rank& rank = channel_.rank(r);
-    if (rank.refreshing()) continue;
-    if (rm_.owed(r, now) == 0) continue;
-
-    const bool urgent = rm_.urgent(r, now);
-    const BankId b = darp_pick_bank(r, urgent);
-    if (b >= rank.num_banks()) continue;  // postponed: every candidate busy
-    if (issued) continue;
-
-    dram::Bank& bank = rank.bank(b);
-    if (bank.state() == dram::BankState::kActive) {
-      // An idle-but-open bank (or the forced fallback) is precharged so
-      // REFpb becomes legal next.
-      dram::Command pre{dram::CmdType::kPrecharge, DramCoord{id_, r, b, 0, 0},
-                        0};
-      if (channel_.can_issue(pre, now)) {
-        channel_.issue(pre, now);
-        issued = true;
-      }
-      continue;
-    }
-    dram::Command refpb{dram::CmdType::kRefreshBank,
-                        DramCoord{id_, r, b, 0, 0}, 0};
-    if (channel_.can_issue(refpb, now)) {
-      channel_.issue(refpb, now);
-      rm_.on_refresh_issued(r);
-      h_.bank_refreshes->inc();
-      charge_refresh_blocking(reads_by_bank_count_[bank_slot(r, b)],
-                              channel_.timings().tRFCpb);
-      for (const RequestIndex qidx : reads_by_rank_[r]) {
-        if (arena_[qidx].coord.bank != b) continue;
-        arena_[qidx].blocked_bank +=
-            static_cast<std::uint32_t>(channel_.timings().tRFCpb);
-      }
-      darp_round_mask_[r] |= 1u << b;
-      const std::uint32_t full = (1u << rank.num_banks()) - 1u;
-      if (darp_round_mask_[r] == full) darp_round_mask_[r] = 0;
-      issued = true;
-    }
+std::optional<dram::Command> Controller::bank_refresh_command(
+    RankId r, Cycle now) const {
+  if (rm_.owed(r, now) == 0) return std::nullopt;
+  const dram::Rank& rank = channel_.rank(r);
+  const bool urgent = rm_.urgent(r, now);
+  // kPerBank, kSarp and kHira take the round-robin cursor bank; DARP picks
+  // out of order and postpones while every candidate has demand.
+  BankId b = next_refresh_bank_[r];
+  if (cfg_.policy == RefreshPolicy::kDarp) {
+    b = darp_pick_bank(r, urgent);
+    if (b >= rank.num_banks()) return std::nullopt;
   }
-  return issued;
+  const dram::Bank& bank = rank.bank(b);
+  const auto command = [this, r, b](dram::CmdType type, RowId row) {
+    return dram::Command{type, DramCoord{id_, r, b, row, 0}, 0};
+  };
+  if (!policy_uses_subarrays(cfg_.policy)) {
+    switch (bank.state()) {
+      case dram::BankState::kActive:
+        // An open bank (for DARP an idle one, or the forced fallback) is
+        // precharged so REFpb becomes legal next.
+        return command(dram::CmdType::kPrecharge, 0);
+      case dram::BankState::kPrecharged:
+        return command(dram::CmdType::kRefreshBank, 0);
+      case dram::BankState::kRefreshing:
+        return std::nullopt;  // cursor bank still locked
+    }
+    return std::nullopt;
+  }
+  const std::uint32_t sub = next_refresh_sub_[bank_slot(r, b)];
+  if (bank.state() == dram::BankState::kActive) {
+    // SARP waits for a precharged bank; HiRA additionally overlaps the
+    // refresh with an open row in a *different* subarray.
+    const bool conflict =
+        cfg_.policy != RefreshPolicy::kHira ||
+        (bank.open_row() && bank.subarray_of(*bank.open_row()) == sub);
+    if (conflict) {
+      // Postponed until the row closes, unless the budget is exhausted and
+      // forces it closed so REFpb can go out.
+      if (!urgent) return std::nullopt;
+      return command(dram::CmdType::kPrecharge, 0);
+    }
+  } else if (bank.state() != dram::BankState::kPrecharged) {
+    return std::nullopt;
+  }
+  return command(dram::CmdType::kRefreshBank, bank.subarray_row(sub));
 }
 
-std::uint64_t Controller::queued_reads_in_subarray(RankId r, BankId b,
-                                                   std::uint32_t sub) const {
-  const dram::Bank& bank = channel_.rank(r).bank(b);
-  std::uint64_t n = 0;
-  for (const RequestIndex idx : reads_by_rank_[r]) {
-    const Request& req = arena_[idx];
-    if (req.coord.bank == b && bank.subarray_of(req.coord.row) == sub) ++n;
+bool Controller::refresh_bank_unit(RankId r, Cycle now) {
+  const auto cmd = bank_refresh_command(r, now);
+  if (!cmd || !channel_.can_issue(*cmd, now)) return false;
+  channel_.issue(*cmd, now);
+  if (cmd->type != dram::CmdType::kRefreshBank) return true;
+
+  const BankId b = cmd->coord.bank;
+  const std::uint32_t nb = channel_.rank(r).num_banks();
+  rm_.on_refresh_issued(r);
+  h_.bank_refreshes->inc();
+  if (policy_uses_subarrays(cfg_.policy)) {
+    std::uint32_t& sub = next_refresh_sub_[bank_slot(r, b)];
+    record_subarray_refresh(r, b, sub, now);
+    // Rotate subarrays within the bank (banks rotate below).
+    sub = (sub + 1) %
+          std::max<std::uint32_t>(1, channel_.rank(r).bank(b).subarrays());
+  } else {
+    // The whole bank is locked: every read queued to it waits out tRFCpb.
+    const Cycle lock = channel_.timings().tRFCpb;
+    charge_refresh_blocking(reads_by_bank_count_[bank_slot(r, b)], lock);
+    for (const RequestIndex qidx : reads_by_rank_[r]) {
+      if (arena_[qidx].coord.bank != b) continue;
+      arena_[qidx].blocked_bank += static_cast<std::uint32_t>(lock);
+    }
   }
-  return n;
+  if (cfg_.policy == RefreshPolicy::kDarp) {
+    darp_round_mask_[r] |= 1u << b;
+    if (darp_round_mask_[r] == (1u << nb) - 1u) darp_round_mask_[r] = 0;
+  } else {
+    next_refresh_bank_[r] = static_cast<BankId>((b + 1) % nb);
+  }
+  return true;
 }
 
 void Controller::record_subarray_refresh(RankId r, BankId b, std::uint32_t sub,
@@ -747,63 +734,6 @@ void Controller::record_subarray_refresh(RankId r, BankId b, std::uint32_t sub,
     e.bank = static_cast<std::uint16_t>(b);
     trace_->record(e);
   }
-}
-
-bool Controller::manage_refresh_subarray(Cycle now) {
-  const bool hira = cfg_.policy == RefreshPolicy::kHira;
-  bool issued = false;
-  for (RankId r = 0; r < channel_.num_ranks(); ++r) {
-    dram::Rank& rank = channel_.rank(r);
-    if (rank.refreshing()) continue;
-    if (rm_.owed(r, now) == 0) continue;
-
-    const bool urgent = rm_.urgent(r, now);
-    const BankId b = next_refresh_bank_[r];
-    dram::Bank& bank = rank.bank(b);
-    const std::uint32_t sub = next_refresh_sub_[bank_slot(r, b)];
-    const RowId row = bank.subarray_row(sub);
-
-    bool attempt = false;
-    if (bank.state() == dram::BankState::kActive) {
-      // SARP waits for a precharged bank; HiRA additionally overlaps the
-      // refresh with an open row in a *different* subarray.
-      const bool conflict =
-          !hira ||
-          (bank.open_row() && bank.subarray_of(*bank.open_row()) == sub);
-      if (conflict) {
-        if (urgent && !issued) {
-          // Budget exhausted: force the row closed so REFpb can go out.
-          dram::Command pre{dram::CmdType::kPrecharge,
-                            DramCoord{id_, r, b, 0, 0}, 0};
-          if (channel_.can_issue(pre, now)) {
-            channel_.issue(pre, now);
-            issued = true;
-          }
-        }
-        continue;  // postponed until the row closes (or urgency forces it)
-      }
-      attempt = true;
-    } else if (bank.state() == dram::BankState::kPrecharged) {
-      attempt = true;
-    }
-    if (!attempt || issued) continue;
-
-    dram::Command refpb{dram::CmdType::kRefreshBank,
-                        DramCoord{id_, r, b, row, 0}, 0};
-    if (channel_.can_issue(refpb, now)) {
-      channel_.issue(refpb, now);
-      rm_.on_refresh_issued(r);
-      h_.bank_refreshes->inc();
-      record_subarray_refresh(r, b, sub, now);
-      // Rotate subarrays within the bank, banks within the rank.
-      next_refresh_sub_[bank_slot(r, b)] =
-          (sub + 1) % std::max<std::uint32_t>(1, bank.subarrays());
-      next_refresh_bank_[r] =
-          static_cast<BankId>((b + 1) % rank.num_banks());
-      issued = true;
-    }
-  }
-  return issued;
 }
 
 void Controller::charge_refresh_blocking(std::uint64_t requests,
@@ -879,65 +809,60 @@ void Controller::step(Cycle now) {
   complete_bursts(now);
   if (listener_ != nullptr) listener_->on_tick(now);
 
-  // Write-drain hysteresis.
-  if (write_q_.size() >= cfg_.sched.write_drain_high) draining_writes_ = true;
-  if (write_q_.size() <= cfg_.sched.write_drain_low) draining_writes_ = false;
+  draining_writes_ = write_drain_after(draining_writes_);
 
-  if (cfg_.refresh_enabled) {
-    bool refresh_cmd = false;
-    if (cfg_.per_bank_refresh) {
-      refresh_cmd = manage_refresh_per_bank(now);
-    } else if (cfg_.policy == RefreshPolicy::kDarp) {
-      refresh_cmd = manage_refresh_darp(now);
-    } else if (policy_uses_subarrays(cfg_.policy)) {
-      refresh_cmd = manage_refresh_subarray(now);
-    } else if (cfg_.policy == RefreshPolicy::kPausing) {
-      refresh_cmd = manage_refresh_pausing(now);
-    } else {
-      refresh_cmd = manage_refresh(now);
-    }
-    if (refresh_cmd) return;
+  if (manage_refresh(now)) return;
+
+  const SchedulerView view = scheduler_view(draining_writes_, now);
+  if (const auto pick = scheduler_.pick(view.queues(), channel_, now, view)) {
+    issue_pick(*pick, now);
   }
+}
 
+bool Controller::write_drain_after(bool draining) const {
+  if (write_q_.size() >= cfg_.sched.write_drain_high) draining = true;
+  if (write_q_.size() <= cfg_.sched.write_drain_low) draining = false;
+  return draining;
+}
+
+bool Controller::SchedulerView::operator()(const Request& req,
+                                           int queue_id) const {
+  const RankId r = req.coord.rank;
+  if (ctrl->channel_.rank(r).refreshing()) return true;
+  if ((urgent_mask >> r) & 1u) return true;
+  // Prefetch reads flow through the whole lock window.
+  if (queue_id == 2) return false;
+  // Demand is held only while the rank seals for the REF command
+  // (baseline enters sealing immediately at due time).
+  return ctrl->phase_[r] == RefreshPhase::kSealing;
+}
+
+Controller::SchedulerView Controller::scheduler_view(bool draining,
+                                                     Cycle now) const {
+  SchedulerView view;
+  view.ctrl = this;
   // Urgent pausing refreshes must be allowed to close: new demand to the
   // rank keeps re-activating rows, which can hold off the forced-full REF
   // past the next boundary and blow the JEDEC postponement budget.
-  std::uint32_t urgent_mask = 0;
-  if (cfg_.refresh_enabled && cfg_.policy == RefreshPolicy::kPausing) {
+  if (cfg_.policy == RefreshPolicy::kPausing) {
     for (RankId r = 0; r < channel_.num_ranks(); ++r) {
-      if (rm_.urgent(r, now)) urgent_mask |= 1u << r;
+      if (rm_.urgent(r, now)) view.urgent_mask |= 1u << r;
     }
   }
-
-  const auto blocked = [this, urgent_mask](const Request& req, int queue_id) {
-    const RankId r = req.coord.rank;
-    if (channel_.rank(r).refreshing()) return true;
-    if ((urgent_mask >> r) & 1u) return true;
-    // Prefetch reads flow through the whole lock window.
-    if (queue_id == 2) return false;
-    // Demand is held only while the rank seals for the REF command
-    // (baseline enters sealing immediately at due time).
-    return phase_[r] == RefreshPhase::kSealing;
-  };
-
   // Outside drain mode writes are only serviced when no read work exists at
   // all — opportunistic writes would otherwise pay bus-turnaround penalties
   // against latency-critical reads.
-  std::array<QueueView, 3> views;
-  std::size_t n_views = 0;
-  if (draining_writes_) {
-    views[n_views++] = QueueView{&arena_, &write_q_, 1};
-    views[n_views++] = QueueView{&arena_, &read_q_, 0};
+  auto& v = view.views;
+  std::size_t& n = view.n_views;
+  if (draining) {
+    v[n++] = QueueView{&arena_, &write_q_, 1};
+    v[n++] = QueueView{&arena_, &read_q_, 0};
   } else {
-    views[n_views++] = QueueView{&arena_, &read_q_, 0};
-    if (read_q_.empty()) views[n_views++] = QueueView{&arena_, &write_q_, 1};
+    v[n++] = QueueView{&arena_, &read_q_, 0};
+    if (read_q_.empty()) v[n++] = QueueView{&arena_, &write_q_, 1};
   }
-  views[n_views++] = QueueView{&arena_, &prefetch_q_, 2};
-
-  const std::span<const QueueView> view_span(views.data(), n_views);
-  if (const auto pick = scheduler_.pick(view_span, channel_, now, blocked)) {
-    issue_pick(*pick, now);
-  }
+  v[n++] = QueueView{&arena_, &prefetch_q_, 2};
+  return view;
 }
 
 std::vector<Request> Controller::drain_completed() {
@@ -999,97 +924,23 @@ void Controller::finalize(Cycle now) {
   blocking_.finalize();
 }
 
-Cycle Controller::seal_ready_cycle(RankId r) const {
-  // Mirrors issue_refresh_commands: while rows are open the next action is
-  // one PRE per tick (the earliest legal one); once all banks are closed
-  // (and any per-bank locks have released) the REF itself goes out.
-  const dram::Rank& rank = channel_.rank(r);
-  Cycle pre = kNeverCycle;
-  bool any_active = false;
-  for (BankId b = 0; b < rank.num_banks(); ++b) {
-    if (rank.bank(b).state() != dram::BankState::kActive) continue;
-    any_active = true;
-    pre = std::min(pre,
-                   channel_.earliest_issue(dram::Command{
-                       dram::CmdType::kPrecharge, DramCoord{id_, r, b, 0, 0},
-                       0}));
-  }
-  if (any_active) return pre;
-  return rank.earliest_refresh_ready();
-}
-
 Cycle Controller::refresh_event_cycle(RankId r, Cycle now) const {
   // Earliest cycle the refresh machinery for (non-refreshing) rank `r` can
   // act or change eligibility. Waiting states return the cycle the wait
   // can end *without any command landing first*; progress that comes from
   // commands (drains, prefetch fills) is covered by the scheduler scan and
-  // in-flight completions, and every executed tick recomputes this.
-  if (cfg_.per_bank_refresh) {
-    if (rm_.owed(r, now) == 0) return rm_.next_owed_increase(r, now);
-    const dram::Rank& rank = channel_.rank(r);
-    const BankId b = next_refresh_bank_[r];
-    const dram::Bank& bank = rank.bank(b);
-    if (bank.state() == dram::BankState::kRefreshing) {
-      // Cursor bank still locked: the machinery idles until it releases.
-      return bank.next_activate();
-    }
-    const dram::CmdType type = bank.state() == dram::BankState::kActive
-                                   ? dram::CmdType::kPrecharge
-                                   : dram::CmdType::kRefreshBank;
-    return channel_.earliest_issue(
-        dram::Command{type, DramCoord{id_, r, b, 0, 0}, 0});
-  }
+  // in-flight completions, and every executed tick recomputes this. The
+  // next boundary crossing raises owed() and can flip urgency (and with it
+  // a postponement, a pause, a drain or the elastic threshold).
+  if (cfg_.policy == RefreshPolicy::kNoRefresh) return kNeverCycle;
 
-  if (cfg_.policy == RefreshPolicy::kDarp) {
-    if (rm_.owed(r, now) == 0) return rm_.next_owed_increase(r, now);
-    const bool urgent = rm_.urgent(r, now);
-    const BankId b = darp_pick_bank(r, urgent);
-    const dram::Rank& rank = channel_.rank(r);
-    if (b >= rank.num_banks()) {
-      // Postponed: eligibility changes through commands (queues draining —
-      // the scheduler scan covers those), a per-bank lock release (covered
-      // by earliest_pb_release in next_event_cycle), or the urgency flip
-      // at the next boundary.
-      return rm_.next_owed_increase(r, now);
-    }
-    const dram::CmdType type = rank.bank(b).state() == dram::BankState::kActive
-                                   ? dram::CmdType::kPrecharge
-                                   : dram::CmdType::kRefreshBank;
-    // The boundary crossing can flip urgency and change the pick, so it
-    // bounds the wait even when the chosen command is further out.
-    return std::min(channel_.earliest_issue(
-                        dram::Command{type, DramCoord{id_, r, b, 0, 0}, 0}),
-                    rm_.next_owed_increase(r, now));
-  }
-
-  if (policy_uses_subarrays(cfg_.policy)) {
-    if (rm_.owed(r, now) == 0) return rm_.next_owed_increase(r, now);
-    const dram::Rank& rank = channel_.rank(r);
-    const BankId b = next_refresh_bank_[r];
-    const dram::Bank& bank = rank.bank(b);
-    const std::uint32_t sub = next_refresh_sub_[bank_slot(r, b)];
-    const RowId row = bank.subarray_row(sub);
-    if (bank.state() == dram::BankState::kActive) {
-      const bool conflict =
-          cfg_.policy != RefreshPolicy::kHira ||
-          (bank.open_row() && bank.subarray_of(*bank.open_row()) == sub);
-      if (conflict) {
-        if (!rm_.urgent(r, now)) {
-          // Postponed until the open row closes (a command) or urgency
-          // flips at the next boundary.
-          return rm_.next_owed_increase(r, now);
-        }
-        return std::min(
-            channel_.earliest_issue(dram::Command{
-                dram::CmdType::kPrecharge, DramCoord{id_, r, b, 0, 0}, 0}),
-            rm_.next_owed_increase(r, now));
-      }
-    }
-    return std::min(
-        channel_.earliest_issue(dram::Command{dram::CmdType::kRefreshBank,
-                                              DramCoord{id_, r, b, row, 0},
-                                              0}),
-        rm_.next_owed_increase(r, now));
+  if (policy_uses_bank_units(cfg_.policy)) {
+    // Without a command nothing is owed, the unit is postponed or its bank
+    // is locked: that changes through commands (the scan), a per-bank lock
+    // release (earliest_pb_release in next_event_cycle) or the boundary.
+    const Cycle boundary = rm_.next_owed_increase(r, now);
+    const auto cmd = bank_refresh_command(r, now);
+    return cmd ? std::min(channel_.earliest_issue(*cmd), boundary) : boundary;
   }
 
   if (cfg_.policy == RefreshPolicy::kPausing) {
@@ -1097,13 +948,12 @@ Cycle Controller::refresh_event_cycle(RankId r, Cycle now) const {
       if (rm_.owed(r, now) == 0) return rm_.next_owed_increase(r, now);
       return now + 1;  // the obligation opens on the next tick
     }
-    if (!rm_.urgent(r, now) && pending_demand(r) > 0) {
-      // Paused: demand progress comes from the scan; urgency (which forces
-      // the finish) can only flip at the next boundary crossing.
+    if (pause_holds(r, now)) {
+      // Paused: demand progress comes from the scan.
       return rm_.next_owed_increase(r, now);
     }
     // Resuming or forced: the next segment begins once the rank seals.
-    return seal_ready_cycle(r);
+    return seal_step(r, now).ready;
   }
 
   if (phase_[r] == RefreshPhase::kIdle) {
@@ -1111,36 +961,27 @@ Cycle Controller::refresh_event_cycle(RankId r, Cycle now) const {
     if (owed == 0) return rm_.next_owed_increase(r, now);
     if (cfg_.policy == RefreshPolicy::kElastic && !rm_.urgent(r, now)) {
       // Locks once the rank has been idle for the backlog-scaled
-      // threshold. Arrivals reset the idle clock (and dirty-force a
-      // tick); the threshold shrinks at the next boundary.
-      const std::uint32_t budget = channel_.timings().max_postponed_refreshes;
-      const std::uint32_t slack = owed >= budget ? 0 : budget - owed;
-      const Cycle threshold = cfg_.elastic_base_idle * slack / budget;
-      return std::min(std::max(last_arrival_[r] + threshold, now + 1),
-                      rm_.next_owed_increase(r, now));
+      // threshold. Arrivals reset the idle clock (and dirty-force a tick).
+      return std::min(
+          std::max(last_arrival_[r] + elastic_idle_threshold(owed), now + 1),
+          rm_.next_owed_increase(r, now));
     }
     return now + 1;  // the lock engages on the next tick
   }
 
+  // ROP holds the lock while pre-lock reads drain (through the scan or the
+  // SRAM buffer's tick events) and, once sealed, while staged prefetches
+  // are queued or in the air (scan and in-flight events); failing that,
+  // the drain bound or the boundary ends the hold.
   const bool urgent = rm_.urgent(r, now);
-  const Cycle bound_end = locked_at_[r] + cfg_.drain_bound;
-
-  if (phase_[r] == RefreshPhase::kDraining) {
-    if (!urgent && now < bound_end && drain_pending_[r] > 0) {
-      // Reads drain through the scheduler (scan) or the SRAM buffer (tick
-      // events); failing that, the bound or a budget flip forces the seal.
-      return std::min(bound_end, rm_.next_owed_increase(r, now));
-    }
-    return now + 1;  // the seal transition happens on the next tick
+  const bool draining = phase_[r] == RefreshPhase::kDraining;
+  if (draining ? drain_holds(r, now, urgent)
+               : prefetch_holds(r, now, urgent)) {
+    return std::min(locked_at_[r] + cfg_.drain_bound,
+                    rm_.next_owed_increase(r, now));
   }
-
-  // kSealing. ROP holds the REF while staged prefetches are still in the
-  // queue or in the air (their progress is scan/in-flight events).
-  if (cfg_.policy == RefreshPolicy::kRopDrain && !urgent &&
-      now < bound_end && pending_prefetches(r) > 0) {
-    return std::min(bound_end, rm_.next_owed_increase(r, now));
-  }
-  return seal_ready_cycle(r);
+  if (draining) return now + 1;  // the seal transition happens next tick
+  return seal_step(r, now).ready;
 }
 
 Cycle Controller::next_event_cycle(Cycle now) const {
@@ -1166,7 +1007,7 @@ Cycle Controller::next_event_cycle(Cycle now) const {
       continue;  // the refresh machinery skips refreshing ranks
     }
     if (rank.pb_refreshing()) consider(rank.earliest_pb_release());
-    if (cfg_.refresh_enabled) consider(refresh_event_cycle(r, now));
+    consider(refresh_event_cycle(r, now));
     if (next == soonest) return next;
   }
 
@@ -1178,36 +1019,9 @@ Cycle Controller::next_event_cycle(Cycle now) const {
   // command on the bus. Queue sizes are frozen until the next executed
   // tick (enqueues dirty-force one), so the next tick's write-drain
   // hysteresis and view order are pure functions of current state.
-  bool drain_next = draining_writes_;
-  if (write_q_.size() >= cfg_.sched.write_drain_high) drain_next = true;
-  if (write_q_.size() <= cfg_.sched.write_drain_low) drain_next = false;
-
-  std::uint32_t urgent_mask = 0;
-  if (cfg_.refresh_enabled && cfg_.policy == RefreshPolicy::kPausing) {
-    for (RankId r = 0; r < channel_.num_ranks(); ++r) {
-      if (rm_.urgent(r, now)) urgent_mask |= 1u << r;
-    }
-  }
-  const auto blocked = [this, urgent_mask](const Request& req, int queue_id) {
-    const RankId r = req.coord.rank;
-    if (channel_.rank(r).refreshing()) return true;
-    if ((urgent_mask >> r) & 1u) return true;
-    if (queue_id == 2) return false;
-    return phase_[r] == RefreshPhase::kSealing;
-  };
-
-  std::array<QueueView, 3> views;
-  std::size_t n_views = 0;
-  if (drain_next) {
-    views[n_views++] = QueueView{&arena_, &write_q_, 1};
-    views[n_views++] = QueueView{&arena_, &read_q_, 0};
-  } else {
-    views[n_views++] = QueueView{&arena_, &read_q_, 0};
-    if (read_q_.empty()) views[n_views++] = QueueView{&arena_, &write_q_, 1};
-  }
-  views[n_views++] = QueueView{&arena_, &prefetch_q_, 2};
-  const std::span<const QueueView> view_span(views.data(), n_views);
-  consider(scheduler_.earliest_issue_cycle(view_span, channel_, now, blocked));
+  const SchedulerView view =
+      scheduler_view(write_drain_after(draining_writes_), now);
+  consider(scheduler_.earliest_issue_cycle(view.queues(), channel_, now, view));
 
   return next;
 }
@@ -1233,7 +1047,7 @@ Cycle Controller::completion_lower_bound(Cycle pos) const {
     // A refresh issue can probe the SRAM buffer and service queued reads
     // via the ROP listener. With the rank idle and nothing owed, that
     // cannot happen before the next tREFI boundary.
-    if (listener_ != nullptr && cfg_.refresh_enabled) {
+    if (listener_ != nullptr && cfg_.policy != RefreshPolicy::kNoRefresh) {
       for (RankId r = 0; r < channel_.num_ranks(); ++r) {
         if (pending_reads_[r] == 0) continue;
         if (phase_[r] != RefreshPhase::kIdle || refresh_remaining_[r] > 0 ||

@@ -5,9 +5,11 @@
 // into. One command is issued on the command bus per controller clock.
 #pragma once
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -87,13 +89,23 @@ class ControllerAuditor {
   virtual void on_retired(const Request& req) = 0;
 };
 
-/// How the controller schedules due refreshes. kAutoRefresh is the
-/// paper's baseline; kRopDrain is the ROP controller behaviour (§IV-D);
-/// kElastic and kPausing implement the two refresh-hiding schemes the
-/// paper's related work compares against conceptually (§VI).
+/// How the controller meets its refresh obligations. One value per
+/// sim::MemoryMode: kAutoRefresh is the paper's baseline, kRopDrain the ROP
+/// controller behaviour (§IV-D), kElastic and kPausing the two
+/// refresh-hiding schemes the paper's related work compares against
+/// conceptually (§VI), kDarp/kSarp/kHira the refresh-access parallelism
+/// schemes. Each value's decision lives in one place in controller.cpp:
+/// Controller::step acts on it and next_event_cycle bounds it.
 enum class RefreshPolicy : std::uint8_t {
+  /// The idealized no-refresh memory of Figs 1 and 7: nothing is ever owed.
+  kNoRefresh,
   /// Issue REF the moment it is due; the rank blocks immediately.
   kAutoRefresh,
+  /// Refresh one bank at a time in round-robin order (REFpb: tRFCpb lock
+  /// per bank, 8x the cadence) instead of freezing the whole rank — the
+  /// finer-granularity mode the paper's future work (§VII) targets. Other
+  /// banks keep servicing demand during the lock.
+  kPerBank,
   /// Elastic Refresh (Stuecheli et al., MICRO'10): postpone a due refresh
   /// until the rank has been idle for a threshold that shrinks as the
   /// postponement backlog grows; forced at the JEDEC budget.
@@ -126,10 +138,10 @@ enum class RefreshPolicy : std::uint8_t {
 };
 
 /// Policies that retire refresh obligations one bank-unit at a time
-/// (RefreshManager runs at banks-per-tREFI cadence, like per_bank_refresh).
+/// (RefreshManager runs at banks-per-tREFI cadence).
 [[nodiscard]] constexpr bool policy_uses_bank_units(RefreshPolicy p) {
-  return p == RefreshPolicy::kDarp || p == RefreshPolicy::kSarp ||
-         p == RefreshPolicy::kHira;
+  return p == RefreshPolicy::kPerBank || p == RefreshPolicy::kDarp ||
+         p == RefreshPolicy::kSarp || p == RefreshPolicy::kHira;
 }
 
 /// Policies that target individual subarrays (need org.subarrays > 1).
@@ -139,8 +151,6 @@ enum class RefreshPolicy : std::uint8_t {
 
 struct ControllerConfig {
   SchedulerConfig sched{};
-  /// false models the idealized no-refresh memory of Figs 1 and 7.
-  bool refresh_enabled = true;
   RefreshPolicy policy = RefreshPolicy::kAutoRefresh;
   /// kRopDrain: bound on the drain+staging window past due time.
   Cycle drain_bound = 1024;
@@ -151,11 +161,6 @@ struct ControllerConfig {
   /// resume.
   Cycle pause_quantum = 48;
   Cycle pause_overhead = 8;
-  /// Refresh one bank at a time (tRFCpb lock per bank, 8x the cadence)
-  /// instead of freezing the whole rank — the finer-granularity mode the
-  /// paper's future work (§VII) targets. Only meaningful with
-  /// kAutoRefresh; other banks keep servicing demand during the lock.
-  bool per_bank_refresh = false;
 };
 
 class Controller {
@@ -335,7 +340,7 @@ class Controller {
   /// true next action — the event-driven loop in cpu::System relies on
   /// every tick in (now, next_event_cycle) being a provable no-op.
   /// kNeverCycle when nothing is queued, in flight, or scheduled (e.g. the
-  /// refresh-disabled idle controller).
+  /// idle controller under kNoRefresh).
   [[nodiscard]] Cycle next_event_cycle(Cycle now) const;
 
   /// True when completed demand reads await drain.
@@ -391,8 +396,6 @@ class Controller {
  private:
   /// tick() body; split out so the auditor hook runs after every exit path.
   void step(Cycle now);
-  /// Returns true when a refresh-related command (PRE or REF) was issued.
-  bool manage_refresh(Cycle now);
   void issue_pick(const SchedulerPick& pick, Cycle now);
   void complete_bursts(Cycle now);
   /// Flush queued prefetches for a rank (urgent refresh override).
@@ -400,13 +403,53 @@ class Controller {
   /// Latency bookkeeping + a kReadSpan trace event for a serviced demand
   /// read; `req` must have arrival and completion set.
   void record_read_latency(const Request& req);
-  /// Issue PRE for an open bank or the REF itself; true when a command
-  /// went out this cycle.
-  bool issue_refresh_commands(RankId rank, Cycle now);
-  bool manage_refresh_per_bank(Cycle now);
-  bool manage_refresh_pausing(Cycle now);
-  bool manage_refresh_darp(Cycle now);
-  bool manage_refresh_subarray(Cycle now);
+
+  // -- Refresh -----------------------------------------------------------
+  // Every decision below is made by one function that both the action
+  // (manage_refresh, from step) and the bound (refresh_event_cycle, from
+  // next_event_cycle) call, so the bound cannot drift from the action.
+
+  /// This tick's refresh work under cfg_.policy, rank by rank; true when a
+  /// refresh command (PRE, REF, REFpb or a pausing segment) used the bus.
+  bool manage_refresh(Cycle now);
+  /// Per-rank actions for a rank that is not refreshing. `bus_free` is
+  /// false once an earlier rank used the bus this cycle; the rank-level
+  /// ones still advance their phase bookkeeping. True when they issued.
+  bool refresh_rank(RankId r, Cycle now, bool bus_free);  // auto/elastic/ROP
+  bool refresh_pausing(RankId r, Cycle now, bool bus_free);
+  bool refresh_bank_unit(RankId r, Cycle now);
+  /// Put the REF for rank `r` on the bus (legal at `now`) and close the
+  /// rank's lock bookkeeping.
+  void issue_refresh(RankId r, Cycle now);
+
+  /// Bank-unit policies: the PRE or REFpb the refresh machinery puts on
+  /// the bus for rank `r` once the command is legal, or none while no unit
+  /// is owed, the unit is postponed or the cursor bank is locked.
+  [[nodiscard]] std::optional<dram::Command> bank_refresh_command(
+      RankId r, Cycle now) const;
+  /// The seal step for rank `r`: while rows are open, a PRE to the first
+  /// open bank whose PRE is legal at `now` (failing that, the one that can
+  /// close soonest); with every bank closed, the REF itself. `ready` is
+  /// the earliest cycle the command can issue (<= `now`: legal now).
+  struct SealStep {
+    dram::Command cmd;
+    Cycle ready;
+  };
+  [[nodiscard]] SealStep seal_step(RankId r, Cycle now) const;
+  /// kElastic: the rank-idle span a due refresh waits for at backlog
+  /// `owed`; it shrinks linearly to zero at the JEDEC budget.
+  [[nodiscard]] Cycle elastic_idle_threshold(std::uint32_t owed) const;
+  /// kRopDrain: the lock still waits for pre-lock reads to drain, or for
+  /// staged prefetches to land, before sealing / issuing REF. Both give
+  /// way at the drain bound and at the JEDEC budget.
+  [[nodiscard]] bool drain_holds(RankId r, Cycle now, bool urgent) const;
+  [[nodiscard]] bool prefetch_holds(RankId r, Cycle now, bool urgent) const;
+  /// kPausing: the refresh in progress yields to pending demand until the
+  /// JEDEC budget forces the finish.
+  [[nodiscard]] bool pause_holds(RankId r, Cycle now) const;
+  /// Earliest cycle the refresh machinery for (non-refreshing) rank `r`
+  /// can act or change eligibility; kNeverCycle under kNoRefresh.
+  [[nodiscard]] Cycle refresh_event_cycle(RankId r, Cycle now) const;
 
   /// DARP: pick the bank to refresh next on rank `r`, honouring the round
   /// mask and the idle-bank / write-drain heuristics. Returns num_banks
@@ -424,19 +467,30 @@ class Controller {
   /// Charge `cycles` of refresh-induced demand blocking for each of
   /// `requests` queued reads (see mem.refresh_blocked_cycles).
   void charge_refresh_blocking(std::uint64_t requests, Cycle cycles);
-  /// Queued reads on rank `r` whose target subarray is `sub` of bank `b`.
-  [[nodiscard]] std::uint64_t queued_reads_in_subarray(RankId r, BankId b,
-                                                      std::uint32_t sub) const;
   /// Subarray-refresh trace event + blocking charge at REFpb issue.
   void record_subarray_refresh(RankId r, BankId b, std::uint32_t sub,
                                Cycle now);
 
-  /// next_event_cycle helpers: earliest cycle the refresh machinery for
-  /// rank `r` can act or change eligibility (policy-specific), and the
-  /// earliest cycle issue_refresh_commands could put a command on the bus
-  /// for `r` given frozen bank state.
-  [[nodiscard]] Cycle refresh_event_cycle(RankId r, Cycle now) const;
-  [[nodiscard]] Cycle seal_ready_cycle(RankId r) const;
+  // -- Scheduling --------------------------------------------------------
+
+  /// Write-drain hysteresis: the drain flag a tick leaves behind when it
+  /// finds `draining`.
+  [[nodiscard]] bool write_drain_after(bool draining) const;
+  /// One tick's scheduler inputs, built by scheduler_view for both step
+  /// and next_event_cycle: the queue views in priority order, and the
+  /// blocked predicate (refreshing ranks, urgent pausing ranks, and demand
+  /// to sealing ranks).
+  struct SchedulerView {
+    const Controller* ctrl = nullptr;
+    std::array<QueueView, 3> views{};
+    std::size_t n_views = 0;
+    std::uint32_t urgent_mask = 0;
+    [[nodiscard]] std::span<const QueueView> queues() const {
+      return {views.data(), n_views};
+    }
+    bool operator()(const Request& req, int queue_id) const;
+  };
+  [[nodiscard]] SchedulerView scheduler_view(bool draining, Cycle now) const;
 
   /// Remove `idx` from rank `r`'s read index and from the drain counter
   /// when the request predates the rank's lock.
@@ -557,8 +611,8 @@ class Controller {
   /// refresh_remaining_, so "remaining == tRFC" is not a reliable
   /// first-segment test (see docs/CORRECTNESS.md).
   std::vector<bool> refresh_window_opened_;
-  /// per_bank_refresh / kSarp / kHira: round-robin cursor of the next bank
-  /// to refresh.
+  /// kPerBank / kSarp / kHira: round-robin cursor of the next bank to
+  /// refresh.
   std::vector<BankId> next_refresh_bank_;
   /// Banks per rank (sizes the flat per-bank counter vectors below).
   std::uint32_t num_banks_ = 0;

@@ -34,15 +34,6 @@ std::uint32_t RefreshManager::owed(RankId rank, Cycle now) const {
   return boundaries > done ? static_cast<std::uint32_t>(boundaries - done) : 0;
 }
 
-Cycle RefreshManager::next_boundary(RankId rank, Cycle now) const {
-  const Cycle offset = phase_offset(rank);
-  const std::uint64_t done = issued_.at(rank);
-  // The next boundary not yet covered by an issued refresh; when overdue
-  // the boundary is in the past and a refresh is owed now.
-  (void)now;
-  return offset + (done + 1) * interval();
-}
-
 void RefreshManager::on_refresh_issued(RankId rank) {
   ++issued_.at(rank);
   if (units_issued_ != nullptr) units_issued_->inc();

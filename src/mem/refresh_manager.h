@@ -30,26 +30,10 @@ class RefreshManager {
   /// boundaries passed minus refreshes issued).
   [[nodiscard]] std::uint32_t owed(RankId rank, Cycle now) const;
 
-  /// True once at least one refresh is due.
-  [[nodiscard]] bool due(RankId rank, Cycle now) const {
-    return owed(rank, now) > 0;
-  }
-
   /// True when the postponement budget is exhausted: the controller must
   /// prioritize this refresh over everything else.
   [[nodiscard]] bool urgent(RankId rank, Cycle now) const {
     return owed(rank, now) >= t_.max_postponed_refreshes;
-  }
-
-  /// The scheduled time of the next refresh boundary for `rank` — the
-  /// anchor for ROP's observational window.
-  [[nodiscard]] Cycle next_boundary(RankId rank, Cycle now) const;
-
-  /// Earliest cycle at which this rank's refresh bookkeeping can change:
-  /// `now` when a refresh is already owed, otherwise the next scheduled
-  /// boundary. Feeds the controller's frozen-cycle fast-forward query.
-  [[nodiscard]] Cycle next_event_cycle(RankId rank, Cycle now) const {
-    return owed(rank, now) > 0 ? now : next_boundary(rank, now);
   }
 
   /// First cycle strictly after `now` at which owed(rank, ·) increases —

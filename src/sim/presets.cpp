@@ -56,8 +56,10 @@ mem::MemoryConfig make_memory_config(std::uint32_t ranks, MemoryMode mode,
   // per-bank prediction-table entry sees a clean single-stream delta trail
   // (the "bank locality" the paper's table organization relies on, §IV-C).
   cfg.scheme = mem::MapScheme::kRowRankBankColumn;
-  cfg.ctrl.refresh_enabled = mode != MemoryMode::kNoRefresh;
   switch (mode) {
+    case MemoryMode::kBaseline:
+      cfg.ctrl.policy = mem::RefreshPolicy::kAutoRefresh;
+      break;
     case MemoryMode::kRop:
       cfg.ctrl.policy = mem::RefreshPolicy::kRopDrain;
       break;
@@ -68,7 +70,7 @@ mem::MemoryConfig make_memory_config(std::uint32_t ranks, MemoryMode mode,
       cfg.ctrl.policy = mem::RefreshPolicy::kPausing;
       break;
     case MemoryMode::kPerBank:
-      cfg.ctrl.per_bank_refresh = true;
+      cfg.ctrl.policy = mem::RefreshPolicy::kPerBank;
       break;
     case MemoryMode::kDarp:
       cfg.ctrl.policy = mem::RefreshPolicy::kDarp;
@@ -83,8 +85,8 @@ mem::MemoryConfig make_memory_config(std::uint32_t ranks, MemoryMode mode,
       cfg.ctrl.policy = mem::RefreshPolicy::kHira;
       cfg.org.subarrays = 8;
       break;
-    case MemoryMode::kBaseline:
     case MemoryMode::kNoRefresh:
+      cfg.ctrl.policy = mem::RefreshPolicy::kNoRefresh;
       break;
   }
   return cfg;

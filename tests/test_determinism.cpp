@@ -73,16 +73,21 @@ TEST(ParallelRunner, MatchesSerialAtEveryThreadCount) {
 }
 
 TEST(FastForward, BitIdenticalToNaiveLoop) {
-  for (const MemoryMode mode :
-       {MemoryMode::kBaseline, MemoryMode::kRop, MemoryMode::kElastic,
-        MemoryMode::kPausing, MemoryMode::kPerBank, MemoryMode::kNoRefresh}) {
-    SCOPED_TRACE(testing::Message() << "mode=" << static_cast<int>(mode));
-    ExperimentSpec naive = quick_multicore_spec(mode);
-    naive.loop = cpu::LoopMode::kNaive;
-    const ExperimentResult ref = run_experiment(naive);
-    ExperimentSpec fast = naive;
-    fast.loop = cpu::LoopMode::kEventDriven;
-    expect_identical(ref, run_experiment(fast));
+  // Every scheme, at 1x and at FGR 4x (the regime of the sharded DARP
+  // benchmark workload).
+  for (const MemoryMode mode : kAllMemoryModes) {
+    for (const dram::RefreshMode fgr :
+         {dram::RefreshMode::k1x, dram::RefreshMode::k4x}) {
+      SCOPED_TRACE(testing::Message() << "mode=" << static_cast<int>(mode)
+                                      << " fgr=" << static_cast<int>(fgr));
+      ExperimentSpec naive = quick_multicore_spec(mode);
+      naive.refresh_mode = fgr;
+      naive.loop = cpu::LoopMode::kNaive;
+      const ExperimentResult ref = run_experiment(naive);
+      ExperimentSpec fast = naive;
+      fast.loop = cpu::LoopMode::kEventDriven;
+      expect_identical(ref, run_experiment(fast));
+    }
   }
 }
 

@@ -16,7 +16,8 @@ MemoryConfig two_channel_config(bool refresh = true) {
   cfg.timings = dram::make_ddr4_1600_timings();
   cfg.org.channels = 2;
   cfg.org.ranks = 2;
-  cfg.ctrl.refresh_enabled = refresh;
+  cfg.ctrl.policy = refresh ? RefreshPolicy::kAutoRefresh
+                            : RefreshPolicy::kNoRefresh;
   return cfg;
 }
 

@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <memory>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "common/rng.h"
 #include "mem/memory_system.h"
@@ -143,6 +147,131 @@ INSTANTIATE_TEST_SUITE_P(
     Loads, RandomRopLoadTest,
     ::testing::Values(LoadParams{11, 1, 0.2, 10}, LoadParams{12, 1, 0.4, 25},
                       LoadParams{13, 2, 0.3, 18}, LoadParams{14, 4, 0.2, 40}));
+
+// --- Never-late event bound: Controller::next_event_cycle(now) promises
+// that every tick in (now, bound) is a no-op as long as nothing is
+// enqueued in between; the event-driven loop skips exactly those ticks.
+// Tick every cycle under random load and hold every policy to the promise
+// on the observable state: the channel's command counts, completions, and
+// each rank's refreshing flag and refresh phase.
+
+using BoundParams =
+    std::tuple<mem::RefreshPolicy, dram::RefreshMode, std::uint32_t>;
+
+constexpr mem::RefreshPolicy kAllPolicies[] = {
+    mem::RefreshPolicy::kNoRefresh, mem::RefreshPolicy::kAutoRefresh,
+    mem::RefreshPolicy::kPerBank,   mem::RefreshPolicy::kElastic,
+    mem::RefreshPolicy::kPausing,   mem::RefreshPolicy::kRopDrain,
+    mem::RefreshPolicy::kDarp,      mem::RefreshPolicy::kSarp,
+    mem::RefreshPolicy::kHira};
+
+std::string bound_case_name(
+    const ::testing::TestParamInfo<BoundParams>& info) {
+  static constexpr const char* kPolicy[] = {
+      "NoRefresh", "Auto", "PerBank", "Elastic", "Pausing",
+      "Rop",       "Darp", "Sarp",    "Hira"};
+  const auto [policy, fgr, ranks] = info.param;
+  return std::string(kPolicy[static_cast<int>(policy)]) + "_" +
+         std::to_string(static_cast<int>(fgr)) + "x_" +
+         std::to_string(ranks) + "rank";
+}
+
+class EventBoundProperty : public ::testing::TestWithParam<BoundParams> {};
+
+TEST_P(EventBoundProperty, NoTickBeforeTheBoundChangesState) {
+  const auto [policy, fgr, ranks] = GetParam();
+  mem::MemoryConfig cfg;
+  cfg.timings = dram::make_ddr4_1600_timings(fgr);
+  cfg.org.ranks = ranks;
+  cfg.ctrl.policy = policy;
+  if (mem::policy_uses_subarrays(policy)) cfg.org.subarrays = 8;
+  StatRegistry stats;
+  mem::MemorySystem memory(cfg, &stats);
+  // ROP gets its engine, so the prefetch hold and the SRAM buffer's
+  // reentrant completions are exercised too.
+  std::unique_ptr<engine::RopEngine> eng;
+  if (policy == mem::RefreshPolicy::kRopDrain) {
+    engine::RopConfig rc;
+    rc.training_refreshes = 4;
+    rc.eval_period_refreshes = 8;
+    eng = std::make_unique<engine::RopEngine>(rc, memory.controller(0),
+                                              memory.address_map(), &stats);
+  }
+  const mem::Controller& ctrl = memory.controller(0);
+
+  struct Observed {
+    dram::ChannelEvents ev;
+    std::vector<bool> refreshing;
+    std::vector<std::uint8_t> phase;
+    bool operator==(const Observed& o) const {
+      return ev.activates == o.ev.activates &&
+             ev.precharges == o.ev.precharges && ev.reads == o.ev.reads &&
+             ev.writes == o.ev.writes && ev.refreshes == o.ev.refreshes &&
+             ev.bank_refreshes == o.ev.bank_refreshes &&
+             ev.refresh_segments == o.ev.refresh_segments &&
+             refreshing == o.refreshing && phase == o.phase;
+    }
+  };
+  const auto observe = [&ctrl, ranks = ranks] {
+    Observed o{ctrl.channel().events(), {}, {}};
+    for (RankId r = 0; r < ranks; ++r) {
+      o.refreshing.push_back(ctrl.rank_refreshing(r));
+      o.phase.push_back(ctrl.refresh_phase(r));
+    }
+    return o;
+  };
+
+  // A long saturating stretch first drives the postponing policies to
+  // their JEDEC budget; then bursty and idle stretches alternate, so
+  // elastic, pausing and DARP act on their own and long skips happen.
+  Rng rng(0x5eed ^ (static_cast<std::uint64_t>(policy) << 8) ^
+          (static_cast<std::uint64_t>(fgr) << 4) ^ ranks);
+  const Cycle trefi = dram::make_ddr4_1600_timings().tREFI;
+  const Cycle horizon = 12 * trefi;
+  Cycle covered_until = 0;  // latest bound since the last change or enqueue
+  Observed before = observe();
+  std::uint64_t changes = 0;
+  bool skipped = false;
+  for (Cycle now = 0; now < horizon; ++now) {
+    const double load =
+        now < 9 * trefi ? 0.5 : (now / 3000) % 2 == 0 ? 0.06 : 0.0;
+    bool enqueued = false;
+    if (rng.next_bool(load)) {
+      const Address addr = rng.next_below(1u << 22) << kLineShift;
+      const auto type =
+          rng.next_bool(0.3) ? mem::ReqType::kWrite : mem::ReqType::kRead;
+      if (memory.can_accept(addr, type)) {
+        enqueued = memory.enqueue(addr, type, 0, now).has_value();
+      }
+    }
+    memory.tick(now);
+    const bool completed = !memory.drain_completed().empty();
+    const Observed after = observe();
+    const bool changed = completed || !(after == before);
+    if (changed && !enqueued) {
+      ASSERT_LE(covered_until, now)
+          << "a tick the event bound promised to be a no-op changed state";
+    }
+    if (changed || enqueued) covered_until = 0;
+    const Cycle bound = ctrl.next_event_cycle(now);
+    ASSERT_GT(bound, now);
+    covered_until = std::max(covered_until, bound);
+    changes += changed ? 1 : 0;
+    skipped = skipped || bound > now + 1;
+    before = after;
+  }
+  EXPECT_GT(changes, 0u);
+  EXPECT_TRUE(skipped) << "the bound never allowed a skip";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryPolicy, EventBoundProperty,
+    ::testing::Combine(::testing::ValuesIn(kAllPolicies),
+                       ::testing::Values(dram::RefreshMode::k1x,
+                                         dram::RefreshMode::k2x,
+                                         dram::RefreshMode::k4x),
+                       ::testing::Values(1u, 2u)),
+    bound_case_name);
 
 // --- Prediction table properties over random access sequences.
 

@@ -34,7 +34,7 @@ TEST_F(RefreshManagerTest, FirstRefreshCyclePinnedPerRank) {
     const Cycle first = rm.phase_offset(r) + t.tREFI;
     EXPECT_EQ(rm.owed(r, first - 1), 0u) << "rank " << r;
     EXPECT_EQ(rm.owed(r, first), 1u) << "rank " << r;
-    EXPECT_EQ(rm.next_boundary(r, 0), first) << "rank " << r;
+    EXPECT_EQ(rm.next_owed_increase(r, 0), first) << "rank " << r;
   }
 }
 
@@ -72,13 +72,20 @@ TEST_F(RefreshManagerTest, RanksAreStaggered) {
 
 TEST_F(RefreshManagerTest, NextBoundaryAdvancesWithIssues) {
   RefreshManager rm(t, 2);
-  EXPECT_EQ(rm.next_boundary(0, 0), static_cast<Cycle>(t.tREFI));
-  rm.on_refresh_issued(0);
-  EXPECT_EQ(rm.next_boundary(0, 10), static_cast<Cycle>(2 * t.tREFI));
-  rm.on_refresh_issued(0);
-  EXPECT_EQ(rm.next_boundary(0, 10), static_cast<Cycle>(3 * t.tREFI));
+  const Cycle trefi = t.tREFI;
+  // Each issue covers one more boundary: after k issues nothing is owed
+  // until boundary k + 1, and one unit is owed from that boundary on.
+  for (Cycle k = 0; k < 3; ++k) {
+    EXPECT_EQ(rm.owed(0, (k + 1) * trefi - 1), 0u) << "issues " << k;
+    EXPECT_EQ(rm.owed(0, (k + 1) * trefi), 1u) << "issues " << k;
+    rm.on_refresh_issued(0);
+  }
+  // The crossing cadence owed() steps at does not move with issues.
+  EXPECT_EQ(rm.next_owed_increase(0, 10), trefi);
+  EXPECT_EQ(rm.next_owed_increase(0, trefi), 2 * trefi);
   // Rank 1 boundaries sit one interval past its phase offset.
-  EXPECT_EQ(rm.next_boundary(1, 0), rm.phase_offset(1) + t.tREFI);
+  EXPECT_EQ(rm.next_owed_increase(1, 0), rm.phase_offset(1) + trefi);
+  EXPECT_EQ(rm.owed(1, rm.phase_offset(1) + trefi), 1u);
 }
 
 TEST_F(RefreshManagerTest, LongRunAverageOnePerTrefi) {

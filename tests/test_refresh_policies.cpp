@@ -12,12 +12,11 @@ namespace {
 
 class RefreshPolicyTest : public ::testing::Test {
  protected:
-  MemoryConfig config(RefreshPolicy policy, bool per_bank = false) {
+  MemoryConfig config(RefreshPolicy policy) {
     MemoryConfig cfg;
     cfg.timings = dram::make_ddr4_1600_timings();
     cfg.org.ranks = 1;
     cfg.ctrl.policy = policy;
-    cfg.ctrl.per_bank_refresh = per_bank;
     return cfg;
   }
 
@@ -208,7 +207,7 @@ TEST_F(RefreshPolicyTest, PausingImprovesTailLatencyOverAutoRefresh) {
 
 TEST_F(RefreshPolicyTest, PerBankRefreshesEveryBankRoundRobin) {
   StatRegistry stats;
-  MemorySystem mem(config(RefreshPolicy::kAutoRefresh, true), &stats);
+  MemorySystem mem(config(RefreshPolicy::kPerBank), &stats);
   const Cycle trefi = mem.config().timings.tREFI;
   for (Cycle now = 0; now < 2 * trefi; ++now) {
     mem.tick(now);
@@ -223,7 +222,7 @@ TEST_F(RefreshPolicyTest, PerBankRefreshesEveryBankRoundRobin) {
 
 TEST_F(RefreshPolicyTest, PerBankKeepsOtherBanksAvailable) {
   StatRegistry stats;
-  MemorySystem mem(config(RefreshPolicy::kAutoRefresh, true), &stats);
+  MemorySystem mem(config(RefreshPolicy::kPerBank), &stats);
   const Cycle trefi = mem.config().timings.tREFI;
   const auto out = run_stream(mem, stats, 10 * trefi, 25);
   EXPECT_EQ(out.completed, out.accepted);
@@ -234,7 +233,7 @@ TEST_F(RefreshPolicyTest, PerBankKeepsOtherBanksAvailable) {
 
 TEST_F(RefreshPolicyTest, PerBankConservesRequestsUnderRandomLoad) {
   StatRegistry stats;
-  MemoryConfig cfg = config(RefreshPolicy::kAutoRefresh, true);
+  MemoryConfig cfg = config(RefreshPolicy::kPerBank);
   cfg.org.ranks = 2;
   MemorySystem mem(cfg, &stats);
   Rng rng(99);

@@ -55,9 +55,10 @@ class SimCheckerTest : public ::testing::Test {
 
 TEST_F(SimCheckerTest, CleanRunUnderEveryPolicy) {
   const mem::RefreshPolicy policies[] = {
-      mem::RefreshPolicy::kAutoRefresh, mem::RefreshPolicy::kElastic,
-      mem::RefreshPolicy::kPausing,     mem::RefreshPolicy::kRopDrain,
-      mem::RefreshPolicy::kDarp,        mem::RefreshPolicy::kSarp,
+      mem::RefreshPolicy::kNoRefresh, mem::RefreshPolicy::kAutoRefresh,
+      mem::RefreshPolicy::kPerBank,   mem::RefreshPolicy::kElastic,
+      mem::RefreshPolicy::kPausing,   mem::RefreshPolicy::kRopDrain,
+      mem::RefreshPolicy::kDarp,      mem::RefreshPolicy::kSarp,
       mem::RefreshPolicy::kHira};
   for (const auto policy : policies) {
     StatRegistry stats;
@@ -116,9 +117,10 @@ TEST_F(SimCheckerTest, CleanRunWithRopEngineAndBufferCoherence) {
 // controller fast paths fails this test.
 TEST_F(SimCheckerTest, RandomizedMultiPolicySoak) {
   const mem::RefreshPolicy policies[] = {
-      mem::RefreshPolicy::kAutoRefresh, mem::RefreshPolicy::kElastic,
-      mem::RefreshPolicy::kPausing,     mem::RefreshPolicy::kRopDrain,
-      mem::RefreshPolicy::kDarp,        mem::RefreshPolicy::kSarp,
+      mem::RefreshPolicy::kNoRefresh, mem::RefreshPolicy::kAutoRefresh,
+      mem::RefreshPolicy::kPerBank,   mem::RefreshPolicy::kElastic,
+      mem::RefreshPolicy::kPausing,   mem::RefreshPolicy::kRopDrain,
+      mem::RefreshPolicy::kDarp,      mem::RefreshPolicy::kSarp,
       mem::RefreshPolicy::kHira};
   for (const auto policy : policies) {
     for (const bool with_rop : {false, true}) {

@@ -137,7 +137,10 @@ TEST(SnapshotArchive, TruncatedBufferPoisonsReader) {
   w(big, s);
   const std::string bytes = w.take();
 
-  snap::Reader r(bytes.substr(0, bytes.size() - 3));
+  // The reader views its buffer without copying it: keep the truncated
+  // copy alive for the reader's whole life.
+  const std::string truncated = bytes.substr(0, bytes.size() - 3);
+  snap::Reader r(truncated);
   std::uint64_t big2 = 0;
   std::string s2;
   r(big2, s2);
