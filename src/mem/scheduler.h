@@ -89,21 +89,24 @@ class Scheduler {
   SchedulerConfig cfg_;
 
   // Channel state is frozen for the duration of one pick() call, and bank
-  // command legality never depends on which request asked: pass-1 column
-  // candidates all target the bank's open row, and ACT/PRE legality ignores
-  // the row entirely. One cached verdict per (bank, command kind) therefore
-  // answers every same-bank candidate, collapsing the O(queue) can_issue
-  // scans that dominate saturated-queue cycles where nothing can issue.
+  // command legality depends on the request only through its row: pass-1
+  // column candidates all target the bank's open row, PRE legality ignores
+  // the row, and ACT legality sees it only through its subarray's refresh
+  // lock. One cached verdict per (bank, command kind) — per (bank,
+  // subarray) for ACT — therefore answers every same-bank candidate,
+  // collapsing the O(queue) can_issue scans that dominate saturated-queue
+  // cycles where nothing can issue.
   enum class Verdict : std::uint8_t { kUnknown = 0, kYes, kNo };
   struct BankMemo {
     Verdict read = Verdict::kUnknown;
     Verdict write = Verdict::kUnknown;
-    Verdict act = Verdict::kUnknown;
     Verdict pre = Verdict::kUnknown;
     Verdict taker = Verdict::kUnknown;  // open row still has a queued hit?
   };
   mutable std::vector<BankMemo> memo_;  // scratch, valid within one pick()
+  mutable std::vector<Verdict> act_memo_;  // per (bank, subarray)
   mutable std::uint32_t memo_banks_ = 0;
+  mutable std::uint32_t memo_subs_ = 0;
 };
 
 namespace scheduler_detail {
@@ -137,7 +140,9 @@ std::optional<SchedulerPick> Scheduler::pick(std::span<const QueueView> queues,
                                              Cycle now,
                                              const BlockedPred& blocked) const {
   memo_banks_ = channel.num_ranks() > 0 ? channel.rank(0).num_banks() : 0;
+  memo_subs_ = memo_banks_ > 0 ? channel.rank(0).bank(0).subarrays() : 0;
   memo_.assign(std::size_t{channel.num_ranks()} * memo_banks_, BankMemo{});
+  act_memo_.assign(memo_.size() * memo_subs_, Verdict::kUnknown);
   const auto memo_for = [this](const DramCoord& c) -> BankMemo& {
     return memo_[std::size_t{c.rank} * memo_banks_ + c.bank];
   };
@@ -180,14 +185,17 @@ std::optional<SchedulerPick> Scheduler::pick(std::span<const QueueView> queues,
           channel.rank(req.coord.rank).bank(req.coord.bank);
       switch (bank.state()) {
         case dram::BankState::kPrecharged: {
-          BankMemo& m = memo_for(req.coord);
-          if (m.act == Verdict::kUnknown) {
+          Verdict& act =
+              act_memo_[(std::size_t{req.coord.rank} * memo_banks_ +
+                         req.coord.bank) *
+                            memo_subs_ +
+                        bank.subarray_of(req.coord.row)];
+          if (act == Verdict::kUnknown) {
             const dram::Command probe{dram::CmdType::kActivate, req.coord,
                                       req.id};
-            m.act =
-                channel.can_issue(probe, now) ? Verdict::kYes : Verdict::kNo;
+            act = channel.can_issue(probe, now) ? Verdict::kYes : Verdict::kNo;
           }
-          if (m.act == Verdict::kYes) {
+          if (act == Verdict::kYes) {
             return SchedulerPick{
                 dram::Command{dram::CmdType::kActivate, req.coord, req.id},
                 qv.id, at};

@@ -162,6 +162,33 @@ TEST_F(SchedulerTest, WriteGetsWriteCommand) {
   EXPECT_EQ(pick->queue_id, 1);
 }
 
+TEST_F(SchedulerTest, ActMemoRespectsSubarrays) {
+  // Under subarrays ACT legality depends on the row's subarray, so a
+  // verdict cached for one request must not answer a same-bank request
+  // into another subarray.
+  org.subarrays = 8;
+  dram::Channel ch(t, org);
+  const dram::Bank& bank = ch.rank(0).bank(0);
+  const RowId sub0_row = bank.subarray_row(0);
+  const RowId sub3_row = bank.subarray_row(3);
+  ch.issue(dram::Command{dram::CmdType::kRefreshBank,
+                         DramCoord{0, 0, 0, sub0_row, 0}, 0},
+           100);
+  std::vector<RequestIndex> reads;
+  add(reads, 1, ReqType::kRead, 0, 0, sub0_row);  // older: locked subarray
+  add(reads, 2, ReqType::kRead, 0, 0, sub3_row);  // younger: free subarray
+  QueueView views[] = {view(reads, 0)};
+  const dram::Command act3{dram::CmdType::kActivate,
+                           DramCoord{0, 0, 0, sub3_row, 0}, 2};
+  ASSERT_TRUE(ch.can_issue(act3, 105));
+  const auto pick = sched.pick(views, ch, 105, never_blocked);
+  ASSERT_TRUE(pick.has_value());
+  EXPECT_EQ(pick->cmd.type, dram::CmdType::kActivate);
+  EXPECT_EQ(pick->cmd.request, 2u);
+  EXPECT_EQ(pick->cmd.coord.row, sub3_row);
+  EXPECT_EQ(sched.earliest_issue_cycle(views, ch, 105, never_blocked), 106u);
+}
+
 // ---------------------------------------------------------------------------
 // earliest_issue_cycle: the event-driven clock's scan must agree with pick()
 // on frozen state — pick() returns nothing strictly before the reported
