@@ -19,11 +19,6 @@ void Bank::configure_subarrays(std::uint32_t count, std::uint32_t rows_per_bank)
   sub_last_row_.assign(count, std::nullopt);
 }
 
-std::uint32_t Bank::subarray_of(RowId row) const {
-  if (sub_count_ <= 1) return 0;
-  return std::min<std::uint32_t>(row / rows_per_sub_, sub_count_ - 1);
-}
-
 RowId Bank::subarray_row(std::uint32_t sub) const {
   return sub_count_ <= 1 ? 0 : static_cast<RowId>(sub) * rows_per_sub_;
 }
@@ -50,44 +45,9 @@ Cycle Bank::any_subarray_busy_until() const {
 }
 
 bool Bank::can_issue(CmdType type, RowId row, Cycle now) const {
-  switch (type) {
-    case CmdType::kActivate:
-      if (state_ != BankState::kPrecharged || now < next_activate_)
-        return false;
-      // The target subarray must be out of its refresh-busy interval; the
-      // other subarrays' locks do not block an ACT (SARP parallelism).
-      return sub_count_ <= 1 || now >= sub_busy_until_[subarray_of(row)];
-    case CmdType::kPrecharge:
-      // PRE on an already-precharged bank is a harmless no-op electrically,
-      // but we treat it as illegal to catch controller bugs.
-      return state_ == BankState::kActive && now >= next_precharge_;
-    case CmdType::kRead:
-      return state_ == BankState::kActive && open_row_ &&
-             *open_row_ == row && now >= next_read_;
-    case CmdType::kWrite:
-      return state_ == BankState::kActive && open_row_ &&
-             *open_row_ == row && now >= next_write_;
-    case CmdType::kRefresh:
-      // REF legality is a rank-scope decision; at bank scope it requires
-      // the bank to be precharged and past its precharge-to-activate time
-      // (and, with subarrays, no subarray refresh still in flight).
-      return state_ == BankState::kPrecharged && now >= next_activate_ &&
-             now >= any_subarray_busy_until();
-    case CmdType::kRefreshBank:
-      if (sub_count_ <= 1) {
-        return state_ == BankState::kPrecharged && now >= next_activate_;
-      }
-      // Subarray-targeted refresh: at most one per bank in flight. Legal
-      // from kPrecharged (SARP), or — the HiRA overlap — while a row is
-      // open in a *different* subarray; next_activate_ spaces the hidden
-      // activation tRC from the last explicit ACT.
-      if (now < any_subarray_busy_until() || now < next_activate_)
-        return false;
-      if (state_ == BankState::kPrecharged) return true;
-      return state_ == BankState::kActive && open_row_ &&
-             subarray_of(*open_row_) != subarray_of(row);
-  }
-  return false;
+  // A kRefreshing bank waits for complete_refresh(), which the rank's tick
+  // performs; earliest_issue() already reports the release cycle.
+  return state_ != BankState::kRefreshing && earliest_issue(type, row) <= now;
 }
 
 Cycle Bank::earliest_issue(CmdType type, RowId row) const {
@@ -102,31 +62,26 @@ Cycle Bank::earliest_issue(CmdType type, RowId row) const {
                  ? next_activate_
                  : std::max(next_activate_, sub_busy_until_[subarray_of(row)]);
     case CmdType::kPrecharge:
+      // PRE on an already-precharged bank is a harmless no-op electrically,
+      // but it is never legal here, to catch controller bugs.
       return state_ == BankState::kActive ? next_precharge_ : kNeverCycle;
     case CmdType::kRead:
-      return state_ == BankState::kActive && open_row_ && *open_row_ == row
-                 ? next_read_
-                 : kNeverCycle;
     case CmdType::kWrite:
-      return state_ == BankState::kActive && open_row_ && *open_row_ == row
-                 ? next_write_
-                 : kNeverCycle;
+      if (state_ != BankState::kActive || *open_row_ != row) return kNeverCycle;
+      return type == CmdType::kRead ? next_read_ : next_write_;
     case CmdType::kRefresh:
-      return state_ == BankState::kActive
-                 ? kNeverCycle
-                 : std::max(next_activate_, any_subarray_busy_until());
     case CmdType::kRefreshBank:
-      if (state_ != BankState::kActive || sub_count_ <= 1) {
-        return state_ == BankState::kActive
-                   ? kNeverCycle
-                   : std::max(next_activate_, any_subarray_busy_until());
+      // Both wait out precharge recovery and any subarray refresh in flight
+      // (at most one per bank). An open row blocks them, except the HiRA
+      // overlap: a subarray-targeted REFpb while the open row sits in a
+      // *different* subarray (next_activate_ then spaces the hidden
+      // activation tRC from the last explicit ACT).
+      if (state_ == BankState::kActive &&
+          (type == CmdType::kRefresh || sub_count_ <= 1 ||
+           subarray_of(*open_row_) == subarray_of(row))) {
+        return kNeverCycle;
       }
-      // HiRA overlap path: legal once the last ACT's tRC and any in-flight
-      // subarray refresh have elapsed, unless the open row shares the
-      // target subarray.
-      return open_row_ && subarray_of(*open_row_) != subarray_of(row)
-                 ? std::max(next_activate_, any_subarray_busy_until())
-                 : kNeverCycle;
+      return std::max(next_activate_, any_subarray_busy_until());
   }
   return kNeverCycle;
 }
@@ -177,7 +132,7 @@ void Bank::issue(CmdType type, RowId row, Cycle now, const DramTimings& t) {
 }
 
 void Bank::begin_refresh(Cycle now, Cycle duration) {
-  ROP_ASSERT(state_ == BankState::kPrecharged && now >= next_activate_);
+  ROP_ASSERT(can_issue(CmdType::kRefresh, 0, now));
   state_ = BankState::kRefreshing;
   next_activate_ = std::max(next_activate_, now + duration);
 }

@@ -14,6 +14,7 @@
 // controller-policy decision (SARP only refreshes precharged banks).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -51,7 +52,11 @@ class Bank {
 
   /// Subarray introspection (checker / telemetry / refresh policies).
   [[nodiscard]] std::uint32_t subarrays() const { return sub_count_; }
-  [[nodiscard]] std::uint32_t subarray_of(RowId row) const;
+  [[nodiscard]] std::uint32_t subarray_of(RowId row) const {
+    return sub_count_ <= 1
+               ? 0
+               : std::min<std::uint32_t>(row / rows_per_sub_, sub_count_ - 1);
+  }
   /// A representative row inside subarray `sub` (REFpb targeting).
   [[nodiscard]] RowId subarray_row(std::uint32_t sub) const;
   /// End of the busy interval for `sub` (0 when never refreshed).
@@ -63,19 +68,22 @@ class Bank {
   /// Last row activated in `sub` (the subarray's local row-buffer record).
   [[nodiscard]] std::optional<RowId> subarray_last_row(std::uint32_t sub) const;
 
-  /// Would `cmd` targeting this bank be legal at `now` (bank scope only)?
-  [[nodiscard]] bool can_issue(CmdType type, RowId row, Cycle now) const;
-
   /// Earliest cycle at which `type` targeting `row` could legally issue at
   /// bank scope, assuming no further commands reach this bank in between.
-  /// Returns kNeverCycle when no passage of time alone can make the command
-  /// legal from the current state (e.g. RD to a row that is not open): some
-  /// other command must land first, which re-derives the answer. The only
-  /// state transitions time *does* perform are the refresh release (an ACT
+  /// This is the only place bank-scope timing rules live. Returns
+  /// kNeverCycle when no passage of time alone can make the command legal
+  /// from the current state (e.g. RD to a row that is not open): some other
+  /// command must land first, which re-derives the answer. The only state
+  /// transitions time *does* perform are the refresh release (an ACT
   /// against a kRefreshing bank becomes legal at next_activate(), recorded
   /// by begin_refresh()) and subarray-lock expiry (an ACT into a locked
   /// subarray becomes legal when its busy interval ends).
   [[nodiscard]] Cycle earliest_issue(CmdType type, RowId row) const;
+
+  /// Would `cmd` targeting this bank be legal at `now` (bank scope only)?
+  /// earliest_issue(type, row) <= now, except that a kRefreshing bank
+  /// refuses everything until complete_refresh() releases it.
+  [[nodiscard]] bool can_issue(CmdType type, RowId row, Cycle now) const;
 
   /// Apply `cmd` at `now`, updating state and constraints. The caller must
   /// have checked legality; violations abort (simulator bug, not workload

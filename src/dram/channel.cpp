@@ -41,14 +41,8 @@ Cycle Channel::data_bus_free(CmdType type, RankId rank) const {
 }
 
 bool Channel::can_issue(const Command& cmd, Cycle now) const {
-  // Data-bus occupancy first: it is the cheapest check and, on a saturated
-  // bus, the one that vetoes almost every candidate the scheduler probes.
-  if (cmd.is_column()) {
-    const Cycle data_start =
-        cmd.type == CmdType::kRead ? now + t_.CL : now + t_.CWL;
-    if (data_start < data_bus_free(cmd.type, cmd.coord.rank)) return false;
-  }
-  return ranks_.at(cmd.coord.rank).can_issue(cmd, now);
+  return !ranks_.at(cmd.coord.rank).refresh_locked(cmd) &&
+         earliest_issue(cmd) <= now;
 }
 
 Cycle Channel::earliest_issue(const Command& cmd) const {

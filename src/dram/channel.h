@@ -41,16 +41,17 @@ class Channel {
   [[nodiscard]] const Rank& rank(RankId r) const { return ranks_.at(r); }
   [[nodiscard]] Rank& rank(RankId r) { return ranks_.at(r); }
 
-  /// Full legality check: bank + rank + data-bus scope.
-  [[nodiscard]] bool can_issue(const Command& cmd, Cycle now) const;
-
   /// Earliest cycle at which `cmd` could legally issue on this channel,
   /// folding bank timing, rank constraints (tRRD/tFAW/tCCD, refresh
   /// lockout), and data-bus occupancy with switch penalties. kNeverCycle
-  /// when time alone cannot make it legal from the frozen state. Exact:
-  /// can_issue(cmd, c) flips from false to true at exactly the returned
-  /// cycle if no other command lands in between.
+  /// when time alone cannot make it legal from the frozen state. Every
+  /// timing rule lives in exactly one earliest_issue (bank, rank or here).
   [[nodiscard]] Cycle earliest_issue(const Command& cmd) const;
+
+  /// Full legality check: earliest_issue(cmd) <= now, unless a bank the
+  /// command needs is refresh-locked until the next tick() (see
+  /// Rank::refresh_locked).
+  [[nodiscard]] bool can_issue(const Command& cmd, Cycle now) const;
 
   /// Issue the command; returns the cycle at which its data burst completes
   /// (reads/writes) or the command's completion cycle (REF) or `now` for

@@ -25,49 +25,34 @@ bool Rank::any_bank_active() const {
   });
 }
 
+bool Rank::refresh_locked(const Command& cmd) const {
+  const auto locked = [](const Bank& b) {
+    return b.state() == BankState::kRefreshing;
+  };
+  return cmd.type == CmdType::kRefresh
+             ? std::any_of(banks_.begin(), banks_.end(), locked)
+             : locked(banks_.at(cmd.coord.bank));
+}
+
 bool Rank::can_issue(const Command& cmd, Cycle now) const {
-  if (refreshing_ && now < refresh_done_) return false;
-  const Bank& bank = banks_.at(cmd.coord.bank);
-  switch (cmd.type) {
-    case CmdType::kActivate: {
-      if (now < next_activate_) return false;
-      // tFAW: at most 4 activates within any rolling tFAW window.
-      if (recent_activates_.size() >= 4 &&
-          now < recent_activates_.front() + t_.tFAW) {
-        return false;
-      }
-      return bank.can_issue(cmd.type, cmd.coord.row, now);
-    }
-    case CmdType::kRead:
-    case CmdType::kWrite:
-      if (now < next_column_) return false;
-      return bank.can_issue(cmd.type, cmd.coord.row, now);
-    case CmdType::kPrecharge:
-      return bank.can_issue(cmd.type, cmd.coord.row, now);
-    case CmdType::kRefresh: {
-      if (!all_banks_precharged()) return false;
-      // Every bank must be past its precharge-recovery point.
-      return std::all_of(banks_.begin(), banks_.end(), [now](const Bank& b) {
-        return now >= b.next_activate();
-      });
-    }
-    case CmdType::kRefreshBank:
-      // Subarray-targeted refresh performs a hidden activation internally:
-      // space it tRRD from other activates in the rank (the tFAW window is
-      // deliberately not charged — see DESIGN.md). Whole-bank REFpb keeps
-      // the classic rank-agnostic legality.
-      if (bank.subarrays() > 1 && now < next_activate_) return false;
-      return bank.can_issue(cmd.type, cmd.coord.row, now);
-  }
-  return false;
+  return !refresh_locked(cmd) && earliest_issue(cmd) <= now;
 }
 
 Cycle Rank::earliest_issue(const Command& cmd) const {
-  const Bank& bank = banks_.at(cmd.coord.bank);
-  Cycle when = bank.earliest_issue(cmd.type, cmd.coord.row);
+  Cycle when = 0;
+  if (cmd.type == CmdType::kRefresh) {
+    // REF needs every bank: each must pass its own REF rule (precharged,
+    // past its recovery point, no subarray refresh in flight).
+    for (const Bank& b : banks_) {
+      when = std::max(when, b.earliest_issue(CmdType::kRefresh, 0));
+    }
+  } else {
+    when = banks_.at(cmd.coord.bank).earliest_issue(cmd.type, cmd.coord.row);
+  }
   if (when == kNeverCycle) return kNeverCycle;
   switch (cmd.type) {
     case CmdType::kActivate:
+      // tRRD, and tFAW: at most 4 activates within any rolling tFAW window.
       when = std::max(when, next_activate_);
       if (recent_activates_.size() >= 4) {
         when = std::max(when, recent_activates_.front() + t_.tFAW);
@@ -78,7 +63,13 @@ Cycle Rank::earliest_issue(const Command& cmd) const {
       when = std::max(when, next_column_);
       break;
     case CmdType::kRefreshBank:
-      if (bank.subarrays() > 1) when = std::max(when, next_activate_);
+      // Subarray-targeted refresh performs a hidden activation internally:
+      // space it tRRD from other activates in the rank (the tFAW window is
+      // deliberately not charged — see DESIGN.md). Whole-bank REFpb keeps
+      // the classic rank-agnostic legality.
+      if (banks_.at(cmd.coord.bank).subarrays() > 1) {
+        when = std::max(when, next_activate_);
+      }
       break;
     case CmdType::kPrecharge:
     case CmdType::kRefresh:
@@ -86,18 +77,6 @@ Cycle Rank::earliest_issue(const Command& cmd) const {
   }
   if (refreshing_) when = std::max(when, refresh_done_);
   return when;
-}
-
-Cycle Rank::earliest_refresh_ready() const {
-  Cycle ready = 0;
-  for (const Bank& b : banks_) {
-    // An open row never precharges by itself: REF cannot become legal
-    // through the passage of time alone.
-    if (b.state() == BankState::kActive) return kNeverCycle;
-    ready = std::max(ready, b.next_activate());
-  }
-  if (refreshing_) ready = std::max(ready, refresh_done_);
-  return ready;
 }
 
 Cycle Rank::earliest_pb_release() const {

@@ -54,22 +54,23 @@ class Rank {
 
   [[nodiscard]] bool all_banks_precharged() const;
 
-  /// Rank-scope legality for a command at `now` (bank-scope already layered
-  /// in; channel-scope data-bus checks layer on top).
-  [[nodiscard]] bool can_issue(const Command& cmd, Cycle now) const;
-
   /// Earliest cycle at which `cmd` could legally issue, folding bank-scope
   /// constraints with tRRD, tFAW window slots, tCCD, and the refresh
-  /// lockout. kNeverCycle when time alone cannot make it legal (another
-  /// command must land first). Exact for the frozen state: if no command
-  /// reaches this rank in between, can_issue(cmd, c) is false for every
-  /// c < result and true at c == result.
+  /// lockout; a REF folds every bank's own REF rule. This is the only place
+  /// rank-scope timing rules live. kNeverCycle when time alone cannot make
+  /// it legal (another command must land first).
   [[nodiscard]] Cycle earliest_issue(const Command& cmd) const;
 
-  /// Earliest cycle a full-rank REF (or pausing segment) could begin:
-  /// every bank precharged and past its recovery point. kNeverCycle while
-  /// any bank holds an open row (a PRE must land first).
-  [[nodiscard]] Cycle earliest_refresh_ready() const;
+  /// True while a bank `cmd` needs (every bank, for a REF) is kRefreshing:
+  /// only tick() releases it, however late `now` is.
+  [[nodiscard]] bool refresh_locked(const Command& cmd) const;
+
+  /// Rank-scope legality for a command at `now` (bank scope layered in;
+  /// channel-scope data-bus checks layer on top): not refresh_locked and
+  /// earliest_issue(cmd) <= now. With tick() called for every cycle and no
+  /// command reaching this rank in between, it is false for every
+  /// c < earliest_issue(cmd) and true from there on.
+  [[nodiscard]] bool can_issue(const Command& cmd, Cycle now) const;
 
   /// Earliest cycle at which any per-bank refresh lock is released by
   /// tick(). kNeverCycle when no bank is locked.

@@ -432,7 +432,7 @@ Controller::SealStep Controller::seal_step(RankId r, Cycle now) const {
   }
   // An open row never closes by itself, so REF waits on the PREs above;
   // with every bank closed it waits for the slowest precharge recovery.
-  if (!any_active) step.ready = rank.earliest_refresh_ready();
+  if (!any_active) step.ready = channel_.earliest_issue(step.cmd);
   return step;
 }
 

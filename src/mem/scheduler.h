@@ -56,13 +56,10 @@ class Scheduler {
   /// that must not be scheduled this cycle (rank refreshing, rank locked
   /// for an imminent refresh, post-lock arrivals during a drain, ...).
   ///
-  /// Selection order:
-  ///   1. the oldest request (scanning queues in priority order) whose
-  ///      column command is issuable right now (row hit, "first ready"),
-  ///   2. otherwise the oldest request that needs an ACT that is issuable,
-  ///   3. otherwise the oldest request that needs a PRE (row conflict) that
-  ///      is issuable — unless a same-priority request still row-hits the
-  ///      open row (keep the row open for it).
+  /// Takes the first candidate (see for_each_candidate) ready at `now`
+  /// that is a column command (a row hit: "first ready"); failing that,
+  /// the first ready candidate of any kind, i.e. an ACT, or a PRE for a row
+  /// conflict that no queued request still row-hits.
   using BlockedFn = std::function<bool(const Request&, int queue_id)>;
   template <typename BlockedPred>
   [[nodiscard]] std::optional<SchedulerPick> pick(
@@ -71,14 +68,13 @@ class Scheduler {
 
   /// Earliest cycle > `now` at which pick() over the same (frozen) queues
   /// could return a command, or kNeverCycle when no unblocked request can
-  /// ever issue without other state changing first. Mirrors pick()'s
-  /// candidate enumeration exactly — including the keep-row-open taker
-  /// rule, which must not be over-approximated: treating a taker-suppressed
-  /// PRE as a candidate would yield a perpetually-past cycle and degrade
-  /// the event loop to per-cycle ticking. Blocked requests are skipped;
-  /// their unblock points (refresh completion, seal/REF transitions) are
-  /// separate controller events. Returns as soon as a candidate at
-  /// `now + 1` is found.
+  /// ever issue without other state changing first: the minimum over
+  /// pick()'s candidates of their earliest issue cycles, clamped to
+  /// `now + 1` (at most one command leaves per cycle, so a second ready
+  /// candidate simply waits its turn). Blocked requests are skipped; their
+  /// unblock points (refresh completion, seal/REF transitions) are separate
+  /// controller events. Returns as soon as a candidate at `now + 1` is
+  /// found.
   template <typename BlockedPred>
   [[nodiscard]] Cycle earliest_issue_cycle(std::span<const QueueView> queues,
                                            const dram::Channel& channel,
@@ -86,27 +82,73 @@ class Scheduler {
                                            const BlockedPred& blocked) const;
 
  private:
+  /// One request's candidate command and the earliest cycle it can issue.
+  struct Candidate {
+    SchedulerPick pick;
+    Cycle when = kNeverCycle;
+  };
+
+  /// Where a bank's memo entries live in memo_ for the current channel.
+  struct MemoShape {
+    std::uint32_t banks = 0;     // banks per rank
+    std::uint32_t subs = 0;      // subarrays per bank
+    std::size_t act_base = 0;    // first ACT entry
+  };
+
+  /// Visit the candidate command of every unblocked request, in queue
+  /// priority then age order, until `visit` returns true. A request's
+  /// candidate is the column command on an open-row hit; with `rows`, also
+  /// an ACT on a precharged or refreshing bank, and a PRE on a row
+  /// conflict. `when` is Channel::earliest_issue, with two state rules on
+  /// top: a refreshing bank's ACT waits at least for the next tick, whose
+  /// Channel::tick releases the lock; and a PRE is never issuable while a
+  /// queued request still row-hits the open row (the row stays open for
+  /// that taker until an issue or an enqueue changes the queues; counting
+  /// the PRE would put the bound in the past and make the event loop tick
+  /// every cycle).
+  template <typename BlockedPred, typename Visit>
+  void for_each_candidate(std::span<const QueueView> queues,
+                          const dram::Channel& channel, Cycle now,
+                          const BlockedPred& blocked, const MemoShape& shape,
+                          bool rows, const Visit& visit) const;
+
+  /// Size the memo for `channel` and invalidate it: one generation per
+  /// pick() or earliest_issue_cycle() call, over which the channel is
+  /// frozen.
+  MemoShape reset_memo(const dram::Channel& channel) const {
+    MemoShape shape;
+    if (channel.num_ranks() > 0) {
+      shape.banks = channel.rank(0).num_banks();
+      shape.subs = channel.rank(0).bank(0).subarrays();
+    }
+    const std::size_t banks = std::size_t{channel.num_ranks()} * shape.banks;
+    shape.act_base = banks * kBankMemos;
+    if (memo_.size() < shape.act_base + banks * shape.subs) {
+      memo_.resize(shape.act_base + banks * shape.subs);
+    }
+    ++generation_;
+    return shape;
+  }
+
   SchedulerConfig cfg_;
 
-  // Channel state is frozen for the duration of one pick() call, and bank
-  // command legality depends on the request only through its row: pass-1
-  // column candidates all target the bank's open row, PRE legality ignores
-  // the row, and ACT legality sees it only through its subarray's refresh
-  // lock. One cached verdict per (bank, command kind) — per (bank,
-  // subarray) for ACT — therefore answers every same-bank candidate,
-  // collapsing the O(queue) can_issue scans that dominate saturated-queue
-  // cycles where nothing can issue.
-  enum class Verdict : std::uint8_t { kUnknown = 0, kYes, kNo };
-  struct BankMemo {
-    Verdict read = Verdict::kUnknown;
-    Verdict write = Verdict::kUnknown;
-    Verdict pre = Verdict::kUnknown;
-    Verdict taker = Verdict::kUnknown;  // open row still has a queued hit?
+  // A command's earliest issue cycle depends on the request only through
+  // its row: column candidates all target the bank's open row, PRE ignores
+  // the row, and ACT sees it only through its subarray's refresh lock. One
+  // memo entry per (bank, command kind), and per (bank, subarray) for ACT,
+  // therefore answers every same-bank candidate, collapsing the O(queue)
+  // legality probes (and open-row taker scans) that dominate
+  // saturated-queue cycles where nothing can issue. Entries are valid only
+  // in the generation that filled them, so invalidating the memo costs one
+  // increment, not a clear. memo_ holds kBankMemos entries per bank, then
+  // the ACT entries from MemoShape::act_base.
+  struct Memo {
+    std::uint64_t generation = 0;
+    Cycle when = 0;
   };
-  mutable std::vector<BankMemo> memo_;  // scratch, valid within one pick()
-  mutable std::vector<Verdict> act_memo_;  // per (bank, subarray)
-  mutable std::uint32_t memo_banks_ = 0;
-  mutable std::uint32_t memo_subs_ = 0;
+  enum BankMemo : std::size_t { kReadMemo, kWriteMemo, kPreMemo, kBankMemos };
+  mutable std::vector<Memo> memo_;
+  mutable std::uint64_t generation_ = 0;
 };
 
 namespace scheduler_detail {
@@ -134,169 +176,89 @@ inline bool open_row_has_taker(std::span<const QueueView> queues,
 
 }  // namespace scheduler_detail
 
+template <typename BlockedPred, typename Visit>
+void Scheduler::for_each_candidate(std::span<const QueueView> queues,
+                                   const dram::Channel& channel, Cycle now,
+                                   const BlockedPred& blocked,
+                                   const MemoShape& shape, bool rows,
+                                   const Visit& visit) const {
+  for (const QueueView& qv : queues) {
+    std::size_t i = 0;
+    for (const RequestIndex ri : *qv.indices) {
+      const Request& req = (*qv.arena)[ri];
+      const std::size_t at = i++;
+      if (blocked(req, qv.id)) continue;
+      const dram::Bank& bank =
+          channel.rank(req.coord.rank).bank(req.coord.bank);
+      const std::size_t slot =
+          std::size_t{req.coord.rank} * shape.banks + req.coord.bank;
+      dram::Command cmd{dram::CmdType::kActivate, req.coord, req.id};
+      std::size_t entry = 0;
+      if (bank.state() == dram::BankState::kActive &&
+          *bank.open_row() == req.coord.row) {
+        cmd.type = scheduler_detail::column_cmd_for(req);
+        entry = slot * kBankMemos +
+                (cmd.type == dram::CmdType::kWrite ? kWriteMemo : kReadMemo);
+      } else if (!rows) {
+        continue;
+      } else if (bank.state() == dram::BankState::kActive) {
+        cmd = dram::Command{dram::CmdType::kPrecharge, req.coord, 0};
+        entry = slot * kBankMemos + kPreMemo;
+      } else {
+        entry = shape.act_base + slot * shape.subs +
+                bank.subarray_of(req.coord.row);
+      }
+      Memo& memo = memo_[entry];
+      if (memo.generation != generation_) {
+        memo.generation = generation_;
+        if (cmd.type == dram::CmdType::kPrecharge &&
+            scheduler_detail::open_row_has_taker(queues, req.coord,
+                                                 *bank.open_row())) {
+          memo.when = kNeverCycle;
+        } else {
+          memo.when = channel.earliest_issue(cmd);
+          if (bank.state() == dram::BankState::kRefreshing) {
+            memo.when = std::max(memo.when, now + 1);
+          }
+        }
+      }
+      if (visit(Candidate{SchedulerPick{cmd, qv.id, at}, memo.when})) return;
+    }
+  }
+}
+
 template <typename BlockedPred>
 std::optional<SchedulerPick> Scheduler::pick(std::span<const QueueView> queues,
                                              const dram::Channel& channel,
                                              Cycle now,
                                              const BlockedPred& blocked) const {
-  memo_banks_ = channel.num_ranks() > 0 ? channel.rank(0).num_banks() : 0;
-  memo_subs_ = memo_banks_ > 0 ? channel.rank(0).bank(0).subarrays() : 0;
-  memo_.assign(std::size_t{channel.num_ranks()} * memo_banks_, BankMemo{});
-  act_memo_.assign(memo_.size() * memo_subs_, Verdict::kUnknown);
-  const auto memo_for = [this](const DramCoord& c) -> BankMemo& {
-    return memo_[std::size_t{c.rank} * memo_banks_ + c.bank];
+  const MemoShape shape = reset_memo(channel);
+  std::optional<SchedulerPick> found;
+  const auto first_ready = [&found, now](const Candidate& c) {
+    if (c.when > now) return false;
+    found = c.pick;
+    return true;
   };
-
-  // Pass 1: first-ready column commands, in queue priority then age order.
-  for (const QueueView& qv : queues) {
-    std::size_t i = 0;
-    for (const RequestIndex ri : *qv.indices) {
-      const Request& req = (*qv.arena)[ri];
-      const std::size_t at = i++;
-      if (blocked(req, qv.id)) continue;
-      const dram::Bank& bank =
-          channel.rank(req.coord.rank).bank(req.coord.bank);
-      if (bank.state() != dram::BankState::kActive || !bank.open_row() ||
-          *bank.open_row() != req.coord.row) {
-        continue;
-      }
-      const dram::CmdType type = scheduler_detail::column_cmd_for(req);
-      BankMemo& m = memo_for(req.coord);
-      Verdict& v = type == dram::CmdType::kWrite ? m.write : m.read;
-      if (v == Verdict::kUnknown) {
-        const dram::Command probe{type, req.coord, req.id};
-        v = channel.can_issue(probe, now) ? Verdict::kYes : Verdict::kNo;
-      }
-      if (v == Verdict::kYes) {
-        return SchedulerPick{dram::Command{type, req.coord, req.id}, qv.id,
-                             at};
-      }
-    }
+  for_each_candidate(queues, channel, now, blocked, shape, false, first_ready);
+  if (!found) {
+    for_each_candidate(queues, channel, now, blocked, shape, true,
+                       first_ready);
   }
-
-  // Pass 2: row commands (ACT / PRE) for the oldest requests.
-  for (const QueueView& qv : queues) {
-    std::size_t i = 0;
-    for (const RequestIndex ri : *qv.indices) {
-      const Request& req = (*qv.arena)[ri];
-      const std::size_t at = i++;
-      if (blocked(req, qv.id)) continue;
-      const dram::Bank& bank =
-          channel.rank(req.coord.rank).bank(req.coord.bank);
-      switch (bank.state()) {
-        case dram::BankState::kPrecharged: {
-          Verdict& act =
-              act_memo_[(std::size_t{req.coord.rank} * memo_banks_ +
-                         req.coord.bank) *
-                            memo_subs_ +
-                        bank.subarray_of(req.coord.row)];
-          if (act == Verdict::kUnknown) {
-            const dram::Command probe{dram::CmdType::kActivate, req.coord,
-                                      req.id};
-            act = channel.can_issue(probe, now) ? Verdict::kYes : Verdict::kNo;
-          }
-          if (act == Verdict::kYes) {
-            return SchedulerPick{
-                dram::Command{dram::CmdType::kActivate, req.coord, req.id},
-                qv.id, at};
-          }
-          break;
-        }
-        case dram::BankState::kActive: {
-          // Row conflict: close the row, but only if nobody still wants it.
-          if (bank.open_row() && *bank.open_row() != req.coord.row) {
-            BankMemo& m = memo_for(req.coord);
-            if (m.taker == Verdict::kUnknown) {
-              m.taker = scheduler_detail::open_row_has_taker(
-                            queues, req.coord, *bank.open_row())
-                            ? Verdict::kYes
-                            : Verdict::kNo;
-            }
-            if (m.taker == Verdict::kNo) {
-              if (m.pre == Verdict::kUnknown) {
-                const dram::Command probe{dram::CmdType::kPrecharge,
-                                          req.coord, 0};
-                m.pre = channel.can_issue(probe, now) ? Verdict::kYes
-                                                      : Verdict::kNo;
-              }
-              if (m.pre == Verdict::kYes) {
-                return SchedulerPick{
-                    dram::Command{dram::CmdType::kPrecharge, req.coord, 0},
-                    qv.id, at};
-              }
-            }
-          }
-          break;
-        }
-        case dram::BankState::kRefreshing:
-          break;
-      }
-    }
-  }
-  return std::nullopt;
+  return found;
 }
 
 template <typename BlockedPred>
 Cycle Scheduler::earliest_issue_cycle(std::span<const QueueView> queues,
                                       const dram::Channel& channel, Cycle now,
                                       const BlockedPred& blocked) const {
-  memo_banks_ = channel.num_ranks() > 0 ? channel.rank(0).num_banks() : 0;
-  memo_.assign(std::size_t{channel.num_ranks()} * memo_banks_, BankMemo{});
-  const auto memo_for = [this](const DramCoord& c) -> BankMemo& {
-    return memo_[std::size_t{c.rank} * memo_banks_ + c.bank];
-  };
-
-  // Candidates already issuable (or issuable at now + 1) clamp to the very
-  // next tick: at most one command leaves per cycle, so a second ready
-  // candidate simply waits its turn.
+  const MemoShape shape = reset_memo(channel);
   const Cycle soonest = now + 1;
   Cycle best = kNeverCycle;
-  const auto consider = [&best, soonest](Cycle c) {
-    if (c != kNeverCycle) best = std::min(best, std::max(c, soonest));
-  };
-
-  for (const QueueView& qv : queues) {
-    for (const RequestIndex ri : *qv.indices) {
-      const Request& req = (*qv.arena)[ri];
-      if (blocked(req, qv.id)) continue;
-      const dram::Bank& bank =
-          channel.rank(req.coord.rank).bank(req.coord.bank);
-      switch (bank.state()) {
-        case dram::BankState::kActive:
-          if (bank.open_row() && *bank.open_row() == req.coord.row) {
-            // Pass-1 candidate: column command on the open row.
-            const dram::CmdType type = scheduler_detail::column_cmd_for(req);
-            consider(channel.earliest_issue(
-                dram::Command{type, req.coord, req.id}));
-          } else {
-            // Pass-3 candidate: row conflict wants a PRE — but only once no
-            // queued request still row-hits the open row (pick() keeps the
-            // row open for takers, and takers only disappear at issue or
-            // enqueue ticks, both of which recompute this scan).
-            BankMemo& m = memo_for(req.coord);
-            if (m.taker == Verdict::kUnknown) {
-              m.taker = scheduler_detail::open_row_has_taker(
-                            queues, req.coord, *bank.open_row())
-                            ? Verdict::kYes
-                            : Verdict::kNo;
-            }
-            if (m.taker == Verdict::kNo) {
-              consider(channel.earliest_issue(
-                  dram::Command{dram::CmdType::kPrecharge, req.coord, 0}));
-            }
-          }
-          break;
-        case dram::BankState::kPrecharged:
-        case dram::BankState::kRefreshing:
-          // Pass-2 candidate: ACT (a refreshing bank releases at its
-          // recorded next_activate, folded in by Bank::earliest_issue).
-          consider(channel.earliest_issue(
-              dram::Command{dram::CmdType::kActivate, req.coord, req.id}));
-          break;
-      }
-      if (best <= soonest) return best;
-    }
-  }
+  for_each_candidate(queues, channel, now, blocked, shape, true,
+                     [&best, soonest](const Candidate& c) {
+                       best = std::min(best, std::max(c.when, soonest));
+                       return best <= soonest;
+                     });
   return best;
 }
 

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 
 #include "check/sim_checker.h"
 #include "mem/refresh_stats.h"
@@ -331,8 +332,6 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
   inst = build_sim_instance(spec, &result.stats, hooks);
   mem::MemorySystem& memory = *inst.memory;
   std::vector<std::unique_ptr<engine::RopEngine>>& engines = inst.engines;
-  std::vector<std::unique_ptr<workload::SyntheticTrace>>& traces =
-      inst.traces;
   cpu::System& system = *inst.system;
   result.cpu_ratio = inst.cpu_ratio;
 
@@ -353,32 +352,30 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
     // single-threaded ring state and the backbone never runs a detailed
     // cycle, hence the no-sinks rule above.
     result.run = run_parallel_sampled(spec, inst, &result.sampling);
-  } else if (!snap_active && !progress_active) {
-    result.run = system.run(spec.instructions_per_core, spec.max_cpu_cycles);
   } else {
-    // Segmented run: checkpoint traffic and/or the progress heartbeat. The
-    // restore side re-runs the whole construction above (everything
-    // config-derived is rebuilt from the spec), then overwrites the mutable
-    // surface from the file. A segment stop is exact (see
-    // System::advance_until), so extra heartbeat boundaries never perturb
-    // the simulated behavior.
-    SnapshotContext ctx;
-    ctx.system = &system;
-    ctx.memory = &memory;
-    ctx.stats = &result.stats;
-    for (const auto& eng : engines) ctx.engines.push_back(eng.get());
-    for (const auto& tr : traces) ctx.traces.push_back(tr.get());
+    // One exact run, cut into segments only by checkpoint traffic and the
+    // progress heartbeat; with neither it is a single segment. The restore
+    // side re-runs the whole construction above (everything config-derived
+    // is rebuilt from the spec), then overwrites the mutable surface from
+    // the file. A segment stop is exact (see System::advance_until), so
+    // extra boundaries never perturb the simulated behavior.
+    SnapshotContext ctx = inst.snapshot_context();
     ctx.sampler = result.epochs.get();
     ctx.trace = result.trace.get();
     const std::uint64_t fp = config_fingerprint(spec_canonical(spec));
+    const auto checkpoint = [&] {
+      if (!write_snapshot_file(spec.snapshot.out, ctx, fp)) {
+        throw std::runtime_error("cannot write snapshot " +
+                                 spec.snapshot.out);
+      }
+    };
 
     system.begin_run(spec.instructions_per_core, spec.max_cpu_cycles);
     if (!spec.snapshot.in.empty()) {
       std::string err;
       if (!read_snapshot_file(spec.snapshot.in, ctx, fp, &err)) {
-        std::fprintf(stderr, "snapshot restore failed (%s): %s\n",
-                     spec.snapshot.in.c_str(), err.c_str());
-        ROP_ASSERT(false && "snapshot restore failed");
+        throw std::runtime_error("snapshot restore failed (" +
+                                 spec.snapshot.in + "): " + err);
       }
     }
     const std::uint64_t stop_at = spec.snapshot.stop_at > 0
@@ -440,16 +437,12 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
           system.cpu_cycle() >= spec.snapshot.stop_at) {
         ROP_ASSERT(!spec.snapshot.out.empty() &&
                    "snapshot.stop_at requires snapshot.out");
-        const bool ok = write_snapshot_file(spec.snapshot.out, ctx, fp);
-        ROP_ASSERT(ok && "snapshot write failed");
+        checkpoint();
         result.interrupted = true;
         break;
       }
       if (next_snap > 0 && system.cpu_cycle() >= next_snap) {
-        if (!spec.snapshot.out.empty()) {
-          const bool ok = write_snapshot_file(spec.snapshot.out, ctx, fp);
-          ROP_ASSERT(ok && "snapshot write failed");
-        }
+        if (!spec.snapshot.out.empty()) checkpoint();
         while (next_snap <= system.cpu_cycle()) {
           next_snap += spec.snapshot.every;
         }

@@ -155,7 +155,10 @@ struct ExperimentResult {
       const std::vector<double>& ipc_alone) const;
 };
 
-/// Run one experiment end to end. Deterministic for a fixed spec.
+/// Run one experiment end to end. Deterministic for a fixed spec. Throws
+/// std::runtime_error on bad input files: an unreadable spec.trace_file, or
+/// a spec.snapshot.in that cannot be restored (missing, foreign, truncated
+/// or corrupt) or a spec.snapshot.out that cannot be written.
 [[nodiscard]] ExperimentResult run_experiment(const ExperimentSpec& spec);
 
 /// Worker threads one run of `spec` occupies: the shard count for a

@@ -41,8 +41,8 @@ struct SimInstance {
   std::unique_ptr<cpu::System> system;
   std::uint32_t cpu_ratio = 0;
 
-  /// Snapshot surface of this instance (sampler and trace sink stay null —
-  /// instances built here never attach them).
+  /// Snapshot surface of this instance. The sampler and trace sink stay
+  /// null: run_experiment attaches its own and adds them.
   [[nodiscard]] SnapshotContext snapshot_context() {
     SnapshotContext ctx;
     ctx.system = system.get();

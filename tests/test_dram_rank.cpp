@@ -2,6 +2,7 @@
 // refresh lockout, and activity accounting for the power model.
 #include <gtest/gtest.h>
 
+#include "dram/channel.h"
 #include "dram/rank.h"
 
 namespace rop::dram {
@@ -74,6 +75,37 @@ TEST_F(RankTest, RefreshRequiresAllBanksPrecharged) {
   // Still waiting on tRP recovery of bank 3.
   EXPECT_FALSE(rank.can_issue(ref(0), t.tRAS + t.tRP - 1));
   EXPECT_TRUE(rank.can_issue(ref(0), t.tRAS + t.tRP));
+}
+
+TEST_F(RankTest, RefreshNeverReadyWhileAnyBankIsOpen) {
+  // REF needs every bank, not just the one its coordinate names: an open
+  // bank 3 never closes by itself, so time alone cannot make REF legal.
+  rank.issue(act(0, 3, 1), 0);
+  EXPECT_EQ(rank.earliest_issue(ref(0)), kNeverCycle);
+  EXPECT_FALSE(rank.can_issue(ref(0), 100'000));
+  rank.issue(pre(0, 3), t.tRAS);
+  EXPECT_EQ(rank.earliest_issue(ref(0)), t.tRAS + t.tRP);
+}
+
+TEST(RankRefreshTest, RefreshWaitsForInFlightSubarrayRefresh) {
+  // A whole-rank REF cannot start while a subarray refresh still holds a
+  // bank; it becomes legal exactly when that busy interval ends.
+  const DramTimings t = make_ddr4_1600_timings();
+  DramOrganization org;
+  org.subarrays = 8;
+  Channel ch(t, org);
+  const RowId sub0 = ch.rank(0).bank(0).subarray_row(0);
+  ch.issue(Command{CmdType::kRefreshBank, DramCoord{0, 0, 0, sub0, 0}, 0},
+           100);
+  const Cycle busy_until = ch.rank(0).bank(0).subarray_busy_until(0);
+  ASSERT_EQ(busy_until, 100 + t.tRFCpb);
+  EXPECT_EQ(ch.earliest_issue(ref(0)), busy_until);
+  for (Cycle c = 101; c < busy_until; ++c) {
+    ch.tick(c);
+    ASSERT_FALSE(ch.can_issue(ref(0), c)) << "REF legal at " << c;
+  }
+  ch.tick(busy_until);
+  EXPECT_TRUE(ch.can_issue(ref(0), busy_until));
 }
 
 TEST_F(RankTest, RefreshFreezesEveryBankUntilTrfc) {

@@ -11,6 +11,7 @@
 
 #include "common/rng.h"
 #include "mem/memory_system.h"
+#include "mem/scheduler.h"
 #include "rop/pattern_profiler.h"
 #include "rop/prediction_table.h"
 #include "rop/rop_engine.h"
@@ -272,6 +273,134 @@ INSTANTIATE_TEST_SUITE_P(
                                          dram::RefreshMode::k4x),
                        ::testing::Values(1u, 2u)),
     bound_case_name);
+
+// --- Exact scheduler bound: Scheduler::earliest_issue_cycle(now) names the
+// first cycle after `now` at which pick() over the same frozen queues
+// returns a command. Drive the channel into a random state with a random
+// legal command history (open rows, recovery windows, tFAW slots, bus
+// turnarounds, whole-rank, whole-bank and subarray refreshes), queue random
+// reads, writes and prefetches, then tick cycle by cycle and hold pick()
+// to the bound: empty before it, non-empty at it.
+
+using SchedulerParams = std::tuple<std::uint32_t, std::uint32_t>;
+
+std::string scheduler_case_name(
+    const ::testing::TestParamInfo<SchedulerParams>& info) {
+  const auto [subarrays, ranks] = info.param;
+  return std::to_string(subarrays) + "sub_" + std::to_string(ranks) + "rank";
+}
+
+class SchedulerBoundProperty
+    : public ::testing::TestWithParam<SchedulerParams> {};
+
+TEST_P(SchedulerBoundProperty, PickIsEmptyBeforeTheBoundAndReadyAtIt) {
+  const auto [subarrays, ranks] = GetParam();
+  const dram::DramTimings t = dram::make_ddr4_1600_timings();
+  dram::DramOrganization org;
+  org.ranks = ranks;
+  org.banks = 4;  // few banks: same-bank requests meet often
+  org.subarrays = subarrays;
+  const mem::Scheduler sched{mem::SchedulerConfig{}};
+  constexpr dram::CmdType kHistory[] = {
+      dram::CmdType::kActivate,    dram::CmdType::kActivate,
+      dram::CmdType::kPrecharge,   dram::CmdType::kRead,
+      dram::CmdType::kWrite,       dram::CmdType::kRefreshBank,
+      dram::CmdType::kRefreshBank, dram::CmdType::kRefresh};
+  std::uint32_t waited = 0;  // trials whose bound lay beyond now + 1
+
+  for (std::uint64_t trial = 0; trial < 1000; ++trial) {
+    Rng rng(trial * 1000 + subarrays * 10 + ranks);
+    dram::Channel ch(t, org);
+    // Rows cluster on three per subarray; one in three lands in a subarray
+    // still locked by its refresh, if the bank has one.
+    const auto random_row = [&rng](const dram::Bank& bank, Cycle c) {
+      auto sub = static_cast<std::uint32_t>(rng.next_below(bank.subarrays()));
+      if (const auto locked = bank.refreshing_subarray(c);
+          locked && rng.next_bool(1.0 / 3)) {
+        sub = *locked;
+      }
+      return bank.subarray_row(sub) + static_cast<RowId>(rng.next_below(3));
+    };
+
+    const Cycle now = 20 + rng.next_below(400);
+    for (Cycle c = 0; c <= now; ++c) {
+      ch.tick(c);
+      if (!rng.next_bool(0.4)) continue;
+      const auto r = static_cast<RankId>(rng.next_below(ranks));
+      const auto b = static_cast<BankId>(rng.next_below(org.banks));
+      const dram::Bank& bank = ch.rank(r).bank(b);
+      dram::CmdType type = kHistory[rng.next_below(std::size(kHistory))];
+      // Whole-rank REF is rare, and only in whole-bank geometry: no policy
+      // mixes it with subarray refresh (RankRefreshTest pins that rule).
+      if (type == dram::CmdType::kRefresh &&
+          (subarrays > 1 || !rng.next_bool(0.2))) {
+        continue;
+      }
+      const bool column =
+          type == dram::CmdType::kRead || type == dram::CmdType::kWrite;
+      const RowId row = column && bank.open_row() ? *bank.open_row()
+                                                  : random_row(bank, c);
+      const dram::Command cmd{type, DramCoord{0, r, b, row, 0}, 0};
+      if (ch.can_issue(cmd, c)) ch.issue(cmd, c);
+    }
+
+    mem::RequestArena arena;
+    std::vector<mem::RequestIndex> queues[3];
+    constexpr mem::ReqType kKinds[3] = {mem::ReqType::kRead,
+                                        mem::ReqType::kWrite,
+                                        mem::ReqType::kPrefetch};
+    RequestId id = 1;
+    for (int k = 0; k < 3; ++k) {
+      // Short queues are the common case: a ready candidate elsewhere
+      // would mask a candidate the bound and pick() disagree on.
+      const std::uint64_t n = rng.next_below(1 + rng.next_below(k == 0 ? 10 : 5));
+      for (std::uint64_t i = 0; i < n; ++i) {
+        mem::Request req;
+        req.id = id++;
+        req.type = kKinds[k];
+        const auto r = static_cast<RankId>(rng.next_below(ranks));
+        const auto b = static_cast<BankId>(rng.next_below(org.banks));
+        const dram::Bank& bank = ch.rank(r).bank(b);
+        const RowId row = bank.open_row() && rng.next_bool(0.4)
+                              ? *bank.open_row()
+                              : random_row(bank, now);
+        req.coord = DramCoord{0, r, b, row, 0};
+        queues[k].push_back(arena.alloc(req));
+      }
+    }
+    // Priority order as the controller builds it: reads then writes, or
+    // writes first while draining; prefetches last.
+    std::vector<mem::QueueView> views;
+    const bool draining = rng.next_bool(0.3);
+    views.push_back(mem::QueueView{&arena, &queues[draining ? 1 : 0],
+                                   draining ? 1 : 0});
+    views.push_back(mem::QueueView{&arena, &queues[draining ? 0 : 1],
+                                   draining ? 0 : 1});
+    views.push_back(mem::QueueView{&arena, &queues[2], 2});
+    const std::uint64_t blocked_ranks = rng.next_below(4) == 0 ? 1 : 0;
+    const auto blocked = [blocked_ranks](const mem::Request& req, int) {
+      return ((blocked_ranks >> req.coord.rank) & 1u) != 0;
+    };
+
+    const Cycle bound = sched.earliest_issue_cycle(views, ch, now, blocked);
+    ASSERT_GT(bound, now);
+    if (bound != kNeverCycle && bound > now + 1) ++waited;
+    const Cycle last = bound == kNeverCycle ? now + 2000 : bound;
+    for (Cycle c = now + 1; c <= last; ++c) {
+      ch.tick(c);
+      const bool picked = sched.pick(views, ch, c, blocked).has_value();
+      ASSERT_EQ(picked, c == bound)
+          << "trial " << trial << ": bound " << bound << " from " << now
+          << ", pick " << (picked ? "issued" : "was empty") << " at " << c;
+    }
+  }
+  EXPECT_GT(waited, 0u) << "no trial had to wait for its bound";
+}
+
+INSTANTIATE_TEST_SUITE_P(Geometries, SchedulerBoundProperty,
+                         ::testing::Combine(::testing::Values(1u, 8u),
+                                            ::testing::Values(1u, 2u)),
+                         scheduler_case_name);
 
 // --- Prediction table properties over random access sequences.
 

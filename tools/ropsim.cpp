@@ -25,7 +25,6 @@
 #include "sim/experiment.h"
 #include "sim/presets.h"
 #include "sim/runner.h"
-#include "sim/snapshot.h"
 #include "telemetry/stats_json.h"
 #include "telemetry/trace_sink.h"
 #include "workload/spec_profiles.h"
@@ -503,18 +502,6 @@ int run_compare(const Options& opt) {
 /// One run of the selected mode through run_experiment, then the report.
 int run_single(const Options& opt, sim::MemoryMode mode) {
   const sim::ExperimentSpec spec = spec_from_options(opt, mode);
-  // A restore that cannot match would abort mid-run: check the header
-  // (magic, format version, config fingerprint) up front instead.
-  if (!spec.snapshot.in.empty() &&
-      !sim::snapshot_compatible(
-          spec.snapshot.in,
-          sim::config_fingerprint(sim::spec_canonical(spec)))) {
-    std::fprintf(stderr,
-                 "ropsim: --snapshot-in %s: missing, not a snapshot, or "
-                 "written under a different configuration\n",
-                 spec.snapshot.in.c_str());
-    return 2;
-  }
   std::printf("ropsim: mode=%s ranks=%u channels=%u shards=%u llc=%lluMiB "
               "refresh=%s cores=%zu\n",
               opt.mode.c_str(), spec.ranks, spec.channels,
@@ -524,7 +511,7 @@ int run_single(const Options& opt, sim::MemoryMode mode) {
   sim::ExperimentResult result;
   try {
     result = sim::run_experiment(spec);
-  } catch (const std::runtime_error& e) {  // unreadable --trace file
+  } catch (const std::runtime_error& e) {  // bad --trace or snapshot file
     std::fprintf(stderr, "ropsim: %s\n", e.what());
     return 2;
   }
