@@ -280,7 +280,7 @@ INSTANTIATE_TEST_SUITE_P(
 // legal command history (open rows, recovery windows, tFAW slots, bus
 // turnarounds, whole-rank, whole-bank and subarray refreshes), queue random
 // reads, writes and prefetches, then tick cycle by cycle and hold pick()
-// to the bound: empty before it, non-empty at it.
+// to the bound: empty before it, non-empty (and legal) at it.
 
 using SchedulerParams = std::tuple<std::uint32_t, std::uint32_t>;
 
@@ -329,7 +329,8 @@ TEST_P(SchedulerBoundProperty, PickIsEmptyBeforeTheBoundAndReadyAtIt) {
       const auto r = static_cast<RankId>(rng.next_below(ranks));
       const auto b = static_cast<BankId>(rng.next_below(org.banks));
       const dram::Bank& bank = ch.rank(r).bank(b);
-      dram::CmdType type = kHistory[rng.next_below(std::size(kHistory))];
+      const dram::CmdType type =
+          kHistory[rng.next_below(std::size(kHistory))];
       // Whole-rank REF is rare, and only in whole-bank geometry: no policy
       // mixes it with subarray refresh (RankRefreshTest pins that rule).
       if (type == dram::CmdType::kRefresh &&
@@ -353,7 +354,8 @@ TEST_P(SchedulerBoundProperty, PickIsEmptyBeforeTheBoundAndReadyAtIt) {
     for (int k = 0; k < 3; ++k) {
       // Short queues are the common case: a ready candidate elsewhere
       // would mask a candidate the bound and pick() disagree on.
-      const std::uint64_t n = rng.next_below(1 + rng.next_below(k == 0 ? 10 : 5));
+      const std::uint64_t n =
+          rng.next_below(1 + rng.next_below(k == 0 ? 10 : 5));
       for (std::uint64_t i = 0; i < n; ++i) {
         mem::Request req;
         req.id = id++;
@@ -388,10 +390,13 @@ TEST_P(SchedulerBoundProperty, PickIsEmptyBeforeTheBoundAndReadyAtIt) {
     const Cycle last = bound == kNeverCycle ? now + 2000 : bound;
     for (Cycle c = now + 1; c <= last; ++c) {
       ch.tick(c);
-      const bool picked = sched.pick(views, ch, c, blocked).has_value();
-      ASSERT_EQ(picked, c == bound)
+      const auto pick = sched.pick(views, ch, c, blocked);
+      ASSERT_EQ(pick.has_value(), c == bound)
           << "trial " << trial << ": bound " << bound << " from " << now
-          << ", pick " << (picked ? "issued" : "was empty") << " at " << c;
+          << ", pick " << (pick ? "issued" : "was empty") << " at " << c;
+      if (pick) {
+        ASSERT_TRUE(ch.can_issue(pick->cmd, c)) << "trial " << trial;
+      }
     }
   }
   EXPECT_GT(waited, 0u) << "no trial had to wait for its bound";
