@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 #include <vector>
@@ -60,7 +59,6 @@ class Scheduler {
   /// that is a column command (a row hit: "first ready"); failing that,
   /// the first ready candidate of any kind, i.e. an ACT, or a PRE for a row
   /// conflict that no queued request still row-hits.
-  using BlockedFn = std::function<bool(const Request&, int queue_id)>;
   template <typename BlockedPred>
   [[nodiscard]] std::optional<SchedulerPick> pick(
       std::span<const QueueView> queues, const dram::Channel& channel,
