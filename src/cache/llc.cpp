@@ -4,22 +4,19 @@
 
 namespace rop::cache {
 
-namespace {
-
-bool is_pow2(std::uint64_t v) { return v != 0 && (v & (v - 1)) == 0; }
-
-}  // namespace
+bool valid_geometry(const LlcConfig& cfg) {
+  if (cfg.associativity == 0) return false;
+  const std::uint64_t set_bytes =
+      static_cast<std::uint64_t>(cfg.associativity) * kLineBytes;
+  const std::uint64_t sets = cfg.size_bytes / set_bytes;
+  return cfg.size_bytes % set_bytes == 0 && sets != 0 &&
+         (sets & (sets - 1)) == 0 && sets <= UINT32_MAX;
+}
 
 Llc::Llc(const LlcConfig& cfg) : cfg_(cfg) {
-  ROP_ASSERT(cfg.associativity > 0);
-  ROP_ASSERT(cfg.size_bytes % (static_cast<std::uint64_t>(cfg.associativity) *
-                               kLineBytes) ==
-             0);
-  const std::uint64_t sets =
-      cfg.size_bytes / (static_cast<std::uint64_t>(cfg.associativity) *
-                        kLineBytes);
-  ROP_ASSERT(is_pow2(sets));
-  num_sets_ = static_cast<std::uint32_t>(sets);
+  ROP_ASSERT(valid_geometry(cfg));
+  num_sets_ = static_cast<std::uint32_t>(
+      cfg.size_bytes / (std::uint64_t{cfg.associativity} * kLineBytes));
   ways_.resize(static_cast<std::size_t>(num_sets_) * cfg.associativity);
   mru_.assign(num_sets_, 0);
 }

@@ -22,6 +22,11 @@ struct LlcConfig {
   std::uint32_t associativity = 16;
 };
 
+/// True when `cfg` can be built: a nonzero associativity, and a size that
+/// divides into whole sets of lines with a power-of-two set count (the set
+/// index is a bit mask) that fits the 32-bit set counter.
+[[nodiscard]] bool valid_geometry(const LlcConfig& cfg);
+
 struct LlcAccessResult {
   bool hit = false;
   /// Dirty victim line address evicted by this access's fill, if any.

@@ -13,12 +13,6 @@ Rank::Rank(const DramTimings& timings, std::uint32_t num_banks,
   }
 }
 
-bool Rank::all_banks_precharged() const {
-  return std::all_of(banks_.begin(), banks_.end(), [](const Bank& b) {
-    return b.state() == BankState::kPrecharged;
-  });
-}
-
 bool Rank::any_bank_active() const {
   return std::any_of(banks_.begin(), banks_.end(), [](const Bank& b) {
     return b.state() == BankState::kActive;

@@ -52,8 +52,6 @@ class Rank {
   [[nodiscard]] Cycle next_activate() const { return next_activate_; }
   [[nodiscard]] Cycle next_column() const { return next_column_; }
 
-  [[nodiscard]] bool all_banks_precharged() const;
-
   /// Earliest cycle at which `cmd` could legally issue, folding bank-scope
   /// constraints with tRRD, tFAW window slots, tCCD, and the refresh
   /// lockout; a REF folds every bank's own REF rule. This is the only place

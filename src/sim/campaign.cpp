@@ -8,6 +8,7 @@
 #include <memory>
 #include <mutex>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 
 #include "common/types.h"
@@ -24,40 +25,6 @@ namespace fs = std::filesystem;
 
 // ---------------------------------------------------------------------------
 // Spec parsing helpers.
-
-// Scheme and refresh-mode names delegate to the shared preset-layer parser
-// (sim/presets.h) — the single source of truth the ropsim CLI uses too, so
-// campaign specs and --mode flags cannot drift.
-bool parse_mode(const std::string& s, MemoryMode* out) {
-  const auto mode = parse_memory_mode(s);
-  if (!mode) return false;
-  *out = *mode;
-  return true;
-}
-
-bool parse_refresh(const std::string& s, dram::RefreshMode* out) {
-  const auto mode = parse_refresh_mode(s);
-  if (!mode) return false;
-  *out = *mode;
-  return true;
-}
-
-/// Benchmark axis value -> per-core benchmark list. "wlN" expands to the
-/// 4-program mix of Table II; any Table I name runs single-core.
-bool parse_benchmark(const std::string& s, std::vector<std::string>* out) {
-  if (s.size() == 3 && s[0] == 'w' && s[1] == 'l' && s[2] >= '1' &&
-      s[2] <= '0' + static_cast<char>(workload::kNumWorkloadMixes)) {
-    *out = workload::workload_mix(static_cast<std::uint32_t>(s[2] - '0'));
-    return true;
-  }
-  for (const std::string_view name : workload::kBenchmarkNames) {
-    if (s == name) {
-      *out = {s};
-      return true;
-    }
-  }
-  return false;
-}
 
 bool axis_strings(const json::Value& axes, const std::string& key,
                   std::vector<std::string> fallback,
@@ -504,32 +471,12 @@ std::optional<std::vector<CampaignCell>> expand_campaign(
 
   // Top-level "sampling" object: its presence switches every cell to
   // sampled execution (sim/sampling.h knobs; "jobs" sets the window-worker
-  // count, "strata" the stratified placement). Sampling composes with
-  // neither intra-cell checkpoints nor the sharded loop nor epoch
-  // telemetry, so those combinations are spec errors, not silent
-  // downgrades.
+  // count, "strata" the stratified placement). What sampling cannot be
+  // combined with is spec_error's call, made on every cell below.
   SamplingSpec sampling;
   if (const json::Value* sv = spec.find("sampling"); sv != nullptr) {
     if (!sv->is_object()) {
       if (error != nullptr) *error = "'sampling' must be a JSON object";
-      return std::nullopt;
-    }
-    if (snapshot_every > 0) {
-      if (error != nullptr) {
-        *error = "'sampling' cannot be combined with snapshot_every";
-      }
-      return std::nullopt;
-    }
-    if (shard_channels > 0) {
-      if (error != nullptr) {
-        *error = "'sampling' requires the serial loop (no shard_channels)";
-      }
-      return std::nullopt;
-    }
-    if (epoch_cycles > 0) {
-      if (error != nullptr) {
-        *error = "'sampling' cannot be combined with epoch_cycles";
-      }
       return std::nullopt;
     }
     sampling.enabled = true;
@@ -550,10 +497,6 @@ std::optional<std::vector<CampaignCell>> expand_campaign(
     if (const json::Value* ci = sv->find("target_ci");
         ci != nullptr && ci->is_number()) {
       sampling.target_ci_frac = ci->as_double();
-    }
-    if (sampling.jobs == 0) {
-      if (error != nullptr) *error = "'sampling.jobs' must be >= 1";
-      return std::nullopt;
     }
   }
 
@@ -586,21 +529,23 @@ std::optional<std::vector<CampaignCell>> expand_campaign(
   // Fixed nesting order (last axis fastest) keeps indices stable across
   // invocations — the contract the resume manifest depends on.
   for (const std::string& bench : benchmarks) {
-    std::vector<std::string> cores;
-    if (!parse_benchmark(bench, &cores)) {
-      if (error != nullptr) *error = "unknown benchmark '" + bench + "'";
-      return std::nullopt;
-    }
+    // "wlN" expands to the 4-program mix of Table II; any other name runs
+    // single-core (spec_error rejects names that are not Table I profiles).
+    const std::optional<std::uint32_t> mix =
+        workload::parse_workload_mix(bench);
+    const std::vector<std::string> cores =
+        mix ? workload::workload_mix(*mix) : std::vector<std::string>{bench};
     for (const std::string& mode_s : modes) {
-      MemoryMode mode{};
-      if (!parse_mode(mode_s, &mode)) {
+      const std::optional<MemoryMode> mode = parse_memory_mode(mode_s);
+      if (!mode) {
         if (error != nullptr) *error = "unknown mode '" + mode_s + "'";
         return std::nullopt;
       }
       for (const std::uint64_t r : ranks) {
         for (const std::string& ref_s : refreshes) {
-          dram::RefreshMode refresh{};
-          if (!parse_refresh(ref_s, &refresh)) {
+          const std::optional<dram::RefreshMode> refresh =
+              parse_refresh_mode(ref_s);
+          if (!refresh) {
             if (error != nullptr) {
               *error = "unknown refresh mode '" + ref_s + "'";
             }
@@ -618,23 +563,33 @@ std::optional<std::vector<CampaignCell>> expand_campaign(
                 cell.label = label.str();
                 ExperimentSpec& e = cell.spec;
                 e.benchmarks = cores;
-                e.mode = mode;
+                e.mode = *mode;
                 e.rank_partition = part;
                 e.ranks = static_cast<std::uint32_t>(r);
                 e.channels = static_cast<std::uint32_t>(ch);
                 e.shard_channels = static_cast<std::uint32_t>(
                     std::min<std::uint64_t>(shard_channels, ch));
                 e.llc_bytes = mb << 20;
-                e.refresh_mode = refresh;
+                e.refresh_mode = *refresh;
                 e.instructions_per_core = instructions;
                 e.max_cpu_cycles = instructions * 256;  // ropsim parity
                 e.check = check;
                 e.sampling = sampling;
                 e.telemetry.sampler.epoch_cycles = epoch_cycles;
-                // Paths are filled in by run_campaign (they depend on the
-                // output directory); the period rides in the spec so every
-                // expansion site agrees on it.
+                // The period and the checkpoint's file name ride in the
+                // spec so every expansion site agrees on them; run_campaign
+                // places the file under the output directory.
                 e.snapshot.every = snapshot_every;
+                if (snapshot_every > 0) {
+                  e.snapshot.out = cell_snapname(cell.index);
+                }
+                if (const std::string bad = spec_error(e); !bad.empty()) {
+                  if (error != nullptr) {
+                    *error = "cell " + std::to_string(cell.index) + " (" +
+                             cell.label + "): " + bad;
+                  }
+                  return std::nullopt;
+                }
                 cells.push_back(std::move(cell));
               }
             }
@@ -790,7 +745,7 @@ std::optional<CampaignSummary> run_campaign(const CampaignOptions& opts,
       ExperimentSpec cell_spec = cells[idx].spec;
       fs::path snap_path;
       if (cell_spec.snapshot.every > 0) {
-        snap_path = out_dir / cell_snapname(idx);
+        snap_path = out_dir / cell_spec.snapshot.out;
         cell_spec.snapshot.out = snap_path.string();
         // Resume mid-cell from the last periodic checkpoint — but only one
         // written under this exact spec; a stale file from an earlier sweep
@@ -804,8 +759,18 @@ std::optional<CampaignSummary> run_campaign(const CampaignOptions& opts,
           fs::remove(snap_path, rm_ec);
         }
       }
-      const ExperimentResult result = run_experiment(cell_spec);
-      const std::string doc = result.to_json();
+      std::string doc;
+      try {
+        doc = run_experiment(cell_spec).to_json();
+      } catch (const std::runtime_error& e) {
+        // A checkpoint that passed the header check but cannot be restored,
+        // or one that cannot be written: the campaign fails on this cell.
+        std::lock_guard<std::mutex> lock(mu);
+        io_error = "cell " + std::to_string(idx) + " (" + cells[idx].label +
+                   "): " + e.what();
+        io_failed.store(true, std::memory_order_relaxed);
+        return;
+      }
       if (!write_file_atomic(out_dir / cell_filename(idx), doc)) {
         std::lock_guard<std::mutex> lock(mu);
         io_error = "cannot write " + cell_filename(idx);
@@ -818,8 +783,7 @@ std::optional<CampaignSummary> run_campaign(const CampaignOptions& opts,
         std::error_code rm_ec;
         fs::remove(snap_path, rm_ec);
       }
-      const std::size_t n_fresh =
-          fresh.fetch_add(1, std::memory_order_relaxed) + 1;
+      fresh.fetch_add(1, std::memory_order_relaxed);
       running.fetch_sub(1, std::memory_order_relaxed);
       std::lock_guard<std::mutex> lock(mu);
       done[idx] = true;
@@ -839,7 +803,6 @@ std::optional<CampaignSummary> run_campaign(const CampaignOptions& opts,
                      total_done, cells.size(), cells[idx].label.c_str());
       }
       emit_beat(cells[idx].label);
-      static_cast<void>(n_fresh);
     }
   };
 

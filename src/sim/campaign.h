@@ -80,13 +80,13 @@ struct CampaignSummary {
 };
 
 /// Expand a parsed spec into the cell grid. Returns nullopt and sets
-/// `error` on a malformed spec.
+/// `error` on a malformed spec or on the first cell spec_error rejects.
 [[nodiscard]] std::optional<std::vector<CampaignCell>> expand_campaign(
     const json::Value& spec, std::string* error);
 
 /// Run (or resume) a campaign end to end. Returns nullopt and sets
-/// `error` on spec/IO failures; cell-level simulation failures abort (the
-/// checker's contract).
+/// `error` on spec/IO failures and on a cell whose run throws; a checker
+/// violation still aborts (the checker's contract).
 [[nodiscard]] std::optional<CampaignSummary> run_campaign(
     const CampaignOptions& opts, std::string* error);
 

@@ -10,6 +10,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "cache/llc.h"
 #include "check/sim_checker.h"
 #include "mem/refresh_stats.h"
 #include "sim/parallel_sampling.h"
@@ -258,21 +259,63 @@ std::string ExperimentResult::to_json() const {
   return os.str();
 }
 
-ExperimentResult run_experiment(const ExperimentSpec& spec) {
-  ROP_ASSERT(!spec.benchmarks.empty());
+std::string spec_error(const ExperimentSpec& spec) {
+  if (spec.benchmarks.empty()) {
+    return "no benchmarks: a run needs at least one core";
+  }
+  if (spec.trace_file.empty()) {
+    for (const std::string& name : spec.benchmarks) {
+      if (std::ranges::count(workload::kBenchmarkNames, name) == 0) {
+        return "unknown benchmark '" + name + "'";
+      }
+    }
+  }
+  if (spec.ranks == 0 || spec.channels == 0) {
+    return "ranks and channels must be >= 1";
+  }
+  if (!cache::valid_geometry(
+          make_system_config(spec.llc_bytes, spec.rank_partition).llc)) {
+    return "LLC size of " + std::to_string(spec.llc_bytes) +
+           " bytes does not give a power-of-two set count";
+  }
   const bool sharded = spec.shard_channels > 0;
-  ROP_ASSERT(!(sharded && spec.telemetry.tracing()) &&
-             "the trace sink interleaves channels; use the serial loop");
+  // The trace sink interleaves channels, so tracing needs the serial loop.
+  if (sharded && (spec.loop != cpu::LoopMode::kEventDriven ||
+                  spec.telemetry.tracing())) {
+    return "shard_channels requires the event-driven loop and no event trace";
+  }
+  if ((spec.snapshot.stop_at > 0 || spec.snapshot.every > 0) &&
+      spec.snapshot.out.empty()) {
+    return "snapshot.stop_at and snapshot.every require snapshot.out";
+  }
+  if (spec.sampling.enabled) {
+    // Checkpointing a statistically sampled run is not meaningful; the
+    // functional backbone never runs a detailed cycle for a sink to see.
+    if (spec.snapshot.any()) {
+      return "sampling cannot be combined with snapshots (snapshot_every, "
+             "--snapshot-*)";
+    }
+    if (sharded) return "sampling runs on the serial loop: no shard_channels";
+    if (spec.telemetry.any()) {
+      return "sampling runs without telemetry sinks: no epoch series or "
+             "event trace";
+    }
+    if (spec.sampling.jobs == 0) return "sampling.jobs must be >= 1";
+  }
+  if (!spec.trace_file.empty() &&
+      (spec.snapshot.any() || spec.sampling.enabled || sharded)) {
+    return "trace-file replay is exact, serial and uncheckpointed: no "
+           "snapshots, sampling or shard_channels";
+  }
+  return {};
+}
+
+ExperimentResult run_experiment(const ExperimentSpec& spec) {
+  if (std::string err = spec_error(spec); !err.empty()) {
+    throw std::runtime_error(err);
+  }
+  const bool sharded = spec.shard_channels > 0;
   const bool snap_active = spec.snapshot.any();
-  ROP_ASSERT(!(snap_active && spec.sampling.enabled) &&
-             "checkpointing a statistically sampled run is not meaningful");
-  ROP_ASSERT(!(spec.sampling.enabled && sharded) &&
-             "sampled execution runs on the serial loop only");
-  ROP_ASSERT(!(spec.sampling.enabled && spec.telemetry.any()) &&
-             "sampled execution runs without telemetry sinks");
-  ROP_ASSERT((spec.trace_file.empty() ||
-              !(snap_active || spec.sampling.enabled || sharded)) &&
-             "trace-file replay is exact, serial and uncheckpointed");
   ExperimentResult result;
 
   // Full system assembly lives in build_sim_instance (the parallel-sampling
@@ -350,7 +393,7 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
     // The instance above becomes the functional-only backbone; window
     // workers replicate it from the spec. Telemetry sinks hold
     // single-threaded ring state and the backbone never runs a detailed
-    // cycle, hence the no-sinks rule above.
+    // cycle, hence spec_error's no-sinks rule.
     result.run = run_parallel_sampled(spec, inst, &result.sampling);
   } else {
     // One exact run, cut into segments only by checkpoint traffic and the
@@ -435,14 +478,12 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
       if (ended) break;  // natural end: no checkpoint, the run is complete
       if (spec.snapshot.stop_at > 0 &&
           system.cpu_cycle() >= spec.snapshot.stop_at) {
-        ROP_ASSERT(!spec.snapshot.out.empty() &&
-                   "snapshot.stop_at requires snapshot.out");
         checkpoint();
         result.interrupted = true;
         break;
       }
       if (next_snap > 0 && system.cpu_cycle() >= next_snap) {
-        if (!spec.snapshot.out.empty()) checkpoint();
+        checkpoint();
         while (next_snap <= system.cpu_cycle()) {
           next_snap += spec.snapshot.every;
         }

@@ -155,10 +155,16 @@ struct ExperimentResult {
       const std::vector<double>& ipc_alone) const;
 };
 
+/// Why `spec` cannot run, as one line; empty when it can. The one place
+/// that states which specs can run (docs/CORRECTNESS.md "Input
+/// validation"); run_experiment, ropsim and expand_campaign all ask it.
+[[nodiscard]] std::string spec_error(const ExperimentSpec& spec);
+
 /// Run one experiment end to end. Deterministic for a fixed spec. Throws
-/// std::runtime_error on bad input files: an unreadable spec.trace_file, or
-/// a spec.snapshot.in that cannot be restored (missing, foreign, truncated
-/// or corrupt) or a spec.snapshot.out that cannot be written.
+/// std::runtime_error when spec_error(spec) rejects the spec, and on bad
+/// input files: an unreadable spec.trace_file, or a spec.snapshot.in that
+/// cannot be restored (missing, foreign, truncated or corrupt) or a
+/// spec.snapshot.out that cannot be written.
 [[nodiscard]] ExperimentResult run_experiment(const ExperimentSpec& spec);
 
 /// Worker threads one run of `spec` occupies: the shard count for a

@@ -151,4 +151,12 @@ std::vector<std::string> workload_mix(std::uint32_t wl) {
   return {};
 }
 
+std::optional<std::uint32_t> parse_workload_mix(std::string_view name) {
+  if (name.size() != 3 || name.substr(0, 2) != "wl" || name[2] < '1' ||
+      name[2] > '0' + static_cast<char>(kNumWorkloadMixes)) {
+    return std::nullopt;
+  }
+  return static_cast<std::uint32_t>(name[2] - '0');
+}
+
 }  // namespace rop::workload

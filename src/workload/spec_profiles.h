@@ -10,6 +10,8 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -37,5 +39,10 @@ inline constexpr std::array<std::string_view, 12> kBenchmarkNames{
 [[nodiscard]] std::vector<std::string> workload_mix(std::uint32_t wl);
 
 inline constexpr std::uint32_t kNumWorkloadMixes = 6;
+
+/// The mix number of a workload-mix name "wl1".."wl6", the form the ropsim
+/// CLI and campaign specs accept; nullopt for any other name.
+[[nodiscard]] std::optional<std::uint32_t> parse_workload_mix(
+    std::string_view name);
 
 }  // namespace rop::workload

@@ -336,6 +336,55 @@ TEST(CampaignRun, ReportsSpecErrors) {
                    .has_value());
   EXPECT_NE(err.find("parse error"), std::string::npos);
 
+  // A cell spec_error rejects (a 3 MiB LLC has no power-of-two set count)
+  // fails the campaign before any cell runs, and the error names the cell.
+  const std::string llc_path = write_spec(base, R"({
+    "instructions_per_core": 10000,
+    "axes": {"benchmark": ["lbm"], "llc_mb": [2, 3]}
+  })");
+  EXPECT_FALSE(run_campaign(quiet_options(llc_path, base + "/llc"), &err)
+                   .has_value());
+  EXPECT_NE(err.find("cell 1 (lbm/baseline/r1/1x/part0/ch1/llc3)"),
+            std::string::npos)
+      << err;
+  EXPECT_NE(err.find("LLC"), std::string::npos) << err;
+  EXPECT_FALSE(fs::exists(base + "/llc/cell_000000.json"));
+
+  fs::remove_all(base);
+}
+
+TEST(CampaignRun, CorruptCheckpointFailsCleanly) {
+  const std::string base = ::testing::TempDir() + "rop_campaign_corrupt";
+  fs::remove_all(base);
+  const std::string spec_text = R"({
+    "instructions_per_core": 150000,
+    "snapshot_every": 15000,
+    "axes": {"benchmark": ["lbm"]}
+  })";
+  const std::string spec_path = write_spec(base, spec_text);
+  std::string err;
+  const auto cells = expand_campaign(*json::parse(spec_text), &err);
+  ASSERT_TRUE(cells.has_value()) << err;
+
+  // A kill mid-cell leaves a checkpoint; cut its tail off. The header (and
+  // so the fingerprint check) stays valid; the restore fails mid-body.
+  const std::string snap = base + "/out/cell_000000.snap";
+  fs::create_directories(base + "/out");
+  ExperimentSpec mid = (*cells)[0].spec;
+  mid.snapshot.out = snap;
+  mid.snapshot.stop_at = 25'001;
+  ASSERT_TRUE(run_experiment(mid).interrupted);
+  fs::resize_file(snap, fs::file_size(snap) - 100);
+  ASSERT_TRUE(snapshot_compatible(
+      snap, config_fingerprint(spec_canonical((*cells)[0].spec))));
+
+  EXPECT_FALSE(run_campaign(quiet_options(spec_path, base + "/out"), &err)
+                   .has_value());
+  EXPECT_NE(err.find("cell 0 (" + (*cells)[0].label + ")"), std::string::npos)
+      << err;
+  EXPECT_EQ(err.find('\n'), std::string::npos) << err;
+  EXPECT_FALSE(fs::exists(base + "/out/cell_000000.json"));
+
   fs::remove_all(base);
 }
 

@@ -147,13 +147,5 @@ TEST_F(RankTest, AccountingSettlesMidRefresh) {
   EXPECT_EQ(rank.activity().precharged_cycles, 50u);
 }
 
-TEST_F(RankTest, AllBanksPrechargedTracksState) {
-  EXPECT_TRUE(rank.all_banks_precharged());
-  rank.issue(act(0, 2, 9), 0);
-  EXPECT_FALSE(rank.all_banks_precharged());
-  rank.issue(pre(0, 2), t.tRAS);
-  EXPECT_TRUE(rank.all_banks_precharged());
-}
-
 }  // namespace
 }  // namespace rop::dram

@@ -12,10 +12,12 @@
 //   ropsim campaign sweep.json --out results/
 //   ropsim --help
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -41,7 +43,7 @@ struct Options {
   std::uint32_t ranks = 1;
   std::uint32_t channels = 1;
   std::uint32_t shard_channels = 0;
-  std::uint64_t llc_mb = 2;
+  std::uint32_t llc_mb = 2;
   std::uint64_t instructions = 10'000'000;
   std::uint32_t buffer_lines = 64;
   std::uint32_t window_multiple = 1;
@@ -63,7 +65,7 @@ struct Options {
   std::uint32_t sample_min_windows = 0;   // --sample-min-windows N
   std::uint32_t sample_max_windows = 0;   // --sample-max-windows N
   double sample_target_ci = 0.0;      // --sample-target-ci FRAC
-  std::uint32_t sample_jobs = 0;      // --sample-jobs N; 0 = not given
+  std::optional<std::uint32_t> sample_jobs;  // --sample-jobs N
   std::uint32_t sample_strata = 0;    // --sample-strata N (stratified)
   std::string stats_json;             // --stats-json PATH
   std::string trace_out;              // --trace-out PATH
@@ -168,6 +170,21 @@ struct Options {
   std::exit(code);
 }
 
+/// Value of a numeric flag. The whole text must parse as a T: for the
+/// unsigned types digits only (no sign, space or trailing characters) and
+/// in range. Anything else is a one-line error and exit status 2.
+template <class T>
+T number(const std::string& flag, const char* text) {
+  const char* const end = text + std::strlen(text);
+  T value{};
+  const auto [stop, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || stop != end) {
+    std::fprintf(stderr, "invalid value for %s: '%s'\n", flag.c_str(), text);
+    std::exit(2);
+  }
+  return value;
+}
+
 Options parse(int argc, char** argv) {
   Options opt;
   const auto need = [&](int& i) -> const char* {
@@ -177,6 +194,8 @@ Options parse(int argc, char** argv) {
     }
     return argv[++i];
   };
+  using U32 = std::uint32_t;
+  using U64 = std::uint64_t;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--benchmark") {
@@ -186,23 +205,23 @@ Options parse(int argc, char** argv) {
     } else if (arg == "--mode") {
       opt.mode = need(i);
     } else if (arg == "--cores") {
-      opt.cores = static_cast<std::uint32_t>(std::atoi(need(i)));
+      opt.cores = number<U32>(arg, need(i));
     } else if (arg == "--ranks") {
-      opt.ranks = static_cast<std::uint32_t>(std::atoi(need(i)));
+      opt.ranks = number<U32>(arg, need(i));
     } else if (arg == "--channels") {
-      opt.channels = static_cast<std::uint32_t>(std::atoi(need(i)));
+      opt.channels = number<U32>(arg, need(i));
     } else if (arg == "--shard-channels") {
-      opt.shard_channels = static_cast<std::uint32_t>(std::atoi(need(i)));
+      opt.shard_channels = number<U32>(arg, need(i));
     } else if (arg == "--llc-mb") {
-      opt.llc_mb = std::strtoull(need(i), nullptr, 10);
+      opt.llc_mb = number<U32>(arg, need(i));
     } else if (arg == "--instructions") {
-      opt.instructions = std::strtoull(need(i), nullptr, 10);
+      opt.instructions = number<U64>(arg, need(i));
     } else if (arg == "--buffer-lines") {
-      opt.buffer_lines = static_cast<std::uint32_t>(std::atoi(need(i)));
+      opt.buffer_lines = number<U32>(arg, need(i));
     } else if (arg == "--window") {
-      opt.window_multiple = static_cast<std::uint32_t>(std::atoi(need(i)));
+      opt.window_multiple = number<U32>(arg, need(i));
     } else if (arg == "--training") {
-      opt.training = static_cast<std::uint32_t>(std::atoi(need(i)));
+      opt.training = number<U32>(arg, need(i));
     } else if (arg == "--rank-partition") {
       opt.rank_partition = true;
     } else if (arg == "--refresh") {
@@ -212,7 +231,7 @@ Options parse(int argc, char** argv) {
     } else if (arg == "--compare") {
       opt.compare = true;
     } else if (arg == "--jobs") {
-      opt.jobs = static_cast<unsigned>(std::atoi(need(i)));
+      opt.jobs = number<unsigned>(arg, need(i));
     } else if (arg == "--loop") {
       opt.loop = need(i);
     } else if (arg == "--no-fast-forward") {
@@ -224,33 +243,29 @@ Options parse(int argc, char** argv) {
     } else if (arg == "--snapshot-out") {
       opt.snapshot_out = need(i);
     } else if (arg == "--snapshot-every") {
-      opt.snapshot_every = std::strtoull(need(i), nullptr, 10);
+      opt.snapshot_every = number<U64>(arg, need(i));
     } else if (arg == "--snapshot-stop-at") {
-      opt.snapshot_stop = std::strtoull(need(i), nullptr, 10);
+      opt.snapshot_stop = number<U64>(arg, need(i));
     } else if (arg == "--sample-warmup") {
-      opt.sample_warmup = std::strtoull(need(i), nullptr, 10);
+      opt.sample_warmup = number<U64>(arg, need(i));
     } else if (arg == "--sample-detail") {
-      opt.sample_detail = std::strtoull(need(i), nullptr, 10);
+      opt.sample_detail = number<U64>(arg, need(i));
     } else if (arg == "--sample-functional") {
-      opt.sample_functional = std::strtoull(need(i), nullptr, 10);
+      opt.sample_functional = number<U64>(arg, need(i));
     } else if (arg == "--sample-min-windows") {
-      opt.sample_min_windows = static_cast<std::uint32_t>(std::atoi(need(i)));
+      opt.sample_min_windows = number<U32>(arg, need(i));
     } else if (arg == "--sample-max-windows") {
-      opt.sample_max_windows = static_cast<std::uint32_t>(std::atoi(need(i)));
+      opt.sample_max_windows = number<U32>(arg, need(i));
     } else if (arg == "--sample-target-ci") {
-      opt.sample_target_ci = std::strtod(need(i), nullptr);
+      opt.sample_target_ci = number<double>(arg, need(i));
     } else if (arg == "--sample-jobs") {
-      opt.sample_jobs = static_cast<std::uint32_t>(std::atoi(need(i)));
-      if (opt.sample_jobs == 0) {
-        std::fprintf(stderr, "--sample-jobs must be >= 1\n");
-        std::exit(2);
-      }
+      opt.sample_jobs = number<U32>(arg, need(i));
     } else if (arg == "--sample-strata") {
-      opt.sample_strata = static_cast<std::uint32_t>(std::atoi(need(i)));
+      opt.sample_strata = number<U32>(arg, need(i));
     } else if (arg == "--stats-json") {
       opt.stats_json = need(i);
     } else if (arg == "--epoch") {
-      opt.epoch = std::strtoull(need(i), nullptr, 10);
+      opt.epoch = number<U64>(arg, need(i));
     } else if (arg == "--trace-out") {
       opt.trace_out = need(i);
     } else if (arg == "--trace-cats") {
@@ -260,7 +275,7 @@ Options parse(int argc, char** argv) {
     } else if (arg == "--progress") {
       opt.progress = need(i);
     } else if (arg == "--progress-every") {
-      opt.progress_every = std::strtoull(need(i), nullptr, 10);
+      opt.progress_every = number<U64>(arg, need(i));
     } else if (arg == "--help" || arg == "-h") {
       usage(0);
     } else {
@@ -298,23 +313,6 @@ cpu::LoopMode parse_loop(const std::string& s) {
   usage(2);
 }
 
-bool snapshot_requested(const Options& opt) {
-  return !opt.snapshot_in.empty() || !opt.snapshot_out.empty() ||
-         opt.snapshot_every > 0 || opt.snapshot_stop > 0;
-}
-
-bool is_workload_mix(const std::string& name) {
-  return name.size() == 3 && name.compare(0, 2, "wl") == 0 &&
-         name[2] >= '1' && name[2] <= '6';
-}
-
-bool is_known_benchmark(const std::string& name) {
-  return is_workload_mix(name) ||
-         std::find(workload::kBenchmarkNames.begin(),
-                   workload::kBenchmarkNames.end(),
-                   name) != workload::kBenchmarkNames.end();
-}
-
 std::uint32_t parse_categories(const std::string& csv) {
   const auto cats = telemetry::parse_trace_categories(csv);
   if (!cats) {
@@ -338,15 +336,19 @@ bool write_file(const std::string& path, const std::string& text) {
   return static_cast<bool>(os);
 }
 
+/// The spec every run of this invocation shares (--compare varies only
+/// its mode). Names and combinations are checked by sim::spec_error.
 sim::ExperimentSpec spec_from_options(const Options& opt,
                                       sim::MemoryMode mode) {
   sim::ExperimentSpec spec;
+  const std::optional<std::uint32_t> mix =
+      workload::parse_workload_mix(opt.benchmark);
   if (!opt.trace_path.empty()) {
     spec.benchmarks.assign(opt.cores, opt.trace_path);
     spec.trace_file = opt.trace_path;
     spec.ranks = opt.ranks;
-  } else if (is_workload_mix(opt.benchmark)) {
-    spec.benchmarks = workload::workload_mix(opt.benchmark[2] - '0');
+  } else if (mix) {
+    spec.benchmarks = workload::workload_mix(*mix);
     spec.ranks = std::max(opt.ranks, 4u);
   } else {
     spec.benchmarks.assign(opt.cores, opt.benchmark);
@@ -356,7 +358,7 @@ sim::ExperimentSpec spec_from_options(const Options& opt,
   spec.rank_partition = opt.rank_partition;
   spec.channels = opt.channels;
   spec.shard_channels = std::min(opt.shard_channels, opt.channels);
-  spec.llc_bytes = opt.llc_mb << 20;
+  spec.llc_bytes = std::uint64_t{opt.llc_mb} << 20;
   spec.rop.buffer_lines = opt.buffer_lines;
   spec.rop.window_multiple = opt.window_multiple;
   spec.rop.training_refreshes = opt.training;
@@ -371,7 +373,8 @@ sim::ExperimentSpec spec_from_options(const Options& opt,
   spec.snapshot.stop_at = opt.snapshot_stop;
   spec.progress_file = opt.progress;
   if (opt.progress_every > 0) spec.progress_every = opt.progress_every;
-  if (opt.loop == "sampled") {
+  const bool sampled = opt.loop == "sampled";
+  if (sampled) {
     spec.sampling.enabled = true;
     if (opt.sample_warmup > 0) spec.sampling.warmup_cycles = opt.sample_warmup;
     if (opt.sample_detail > 0) spec.sampling.detail_cycles = opt.sample_detail;
@@ -383,16 +386,16 @@ sim::ExperimentSpec spec_from_options(const Options& opt,
     }
     spec.sampling.max_windows = opt.sample_max_windows;
     spec.sampling.target_ci_frac = opt.sample_target_ci;
-    if (opt.sample_jobs > 0) spec.sampling.jobs = opt.sample_jobs;
+    if (opt.sample_jobs) spec.sampling.jobs = *opt.sample_jobs;
     spec.sampling.strata = opt.sample_strata;
-  } else if (!opt.stats_json.empty() || opt.epoch != 0) {
-    // Epoch series: on whenever a stats document is written (sampled runs
-    // carry no telemetry sinks; main rejects --epoch with them).
+  }
+  // Epoch series: --epoch in every loop (spec_error rejects it with
+  // sampling); by default whenever an exact run writes a stats document.
+  if (opt.epoch != 0) {
+    spec.telemetry.sampler.epoch_cycles = opt.epoch;
+  } else if (!opt.stats_json.empty() && !sampled) {
     spec.telemetry.sampler.epoch_cycles =
-        opt.epoch != 0 ? opt.epoch
-                       : sim::make_memory_config(spec.ranks, spec.mode,
-                                                 spec.refresh_mode)
-                             .timings.tREFI;
+        dram::make_ddr4_1600_timings(spec.refresh_mode).tREFI;
   }
   if (!opt.trace_out.empty()) {
     spec.telemetry.trace.categories = parse_categories(opt.trace_cats);
@@ -400,32 +403,18 @@ sim::ExperimentSpec spec_from_options(const Options& opt,
   return spec;
 }
 
-/// --compare: the same workload under every memory mode, fanned out over
-/// the parallel experiment runner, summarized against the baseline.
-int run_compare(const Options& opt) {
-  static constexpr struct {
-    const char* name;
-    sim::MemoryMode mode;
-  } kAllModes[] = {
-      {"baseline", sim::MemoryMode::kBaseline},
-      {"rop", sim::MemoryMode::kRop},
-      {"elastic", sim::MemoryMode::kElastic},
-      {"pausing", sim::MemoryMode::kPausing},
-      {"per-bank", sim::MemoryMode::kPerBank},
-      {"darp", sim::MemoryMode::kDarp},
-      {"sarp", sim::MemoryMode::kSarp},
-      {"hira", sim::MemoryMode::kHira},
-      {"no-refresh", sim::MemoryMode::kNoRefresh},
-  };
-
+/// --compare: `base_spec` under every memory mode, fanned out over the
+/// parallel experiment runner, summarized against the baseline.
+int run_compare(const Options& opt, const sim::ExperimentSpec& base_spec) {
   if (!opt.progress.empty()) {
     std::fprintf(stderr, "ropsim: --progress is ignored with --compare (nine "
                          "concurrent runs would race on one heartbeat "
                          "file)\n");
   }
   std::vector<sim::ExperimentSpec> specs;
-  for (const auto& m : kAllModes) {
-    specs.push_back(spec_from_options(opt, m.mode));
+  for (const sim::MemoryMode mode : sim::kAllMemoryModes) {
+    specs.push_back(base_spec);
+    specs.back().mode = mode;
     specs.back().progress_file.clear();
   }
   std::printf("ropsim: comparing %zu modes on %s (%llu instructions/core, "
@@ -440,7 +429,12 @@ int run_compare(const Options& opt) {
     for (const auto& core : r.run.cores) sum += core.ipc;
     return sum;
   };
-  const sim::ExperimentResult& base = results[0];
+  const auto result_of = [&](sim::MemoryMode mode) -> const auto& {
+    const auto at = std::find(sim::kAllMemoryModes.begin(),
+                              sim::kAllMemoryModes.end(), mode);
+    return results[static_cast<std::size_t>(at - sim::kAllMemoryModes.begin())];
+  };
+  const sim::ExperimentResult& base = result_of(sim::MemoryMode::kBaseline);
 
   TextTable table("mode comparison");
   table.set_header({"mode", "IPC", "speedup", "energy (mJ)", "energy ratio",
@@ -453,7 +447,8 @@ int run_compare(const Options& opt) {
       return lat != nullptr ? TextTable::fmt(lat->percentile(p), 1)
                             : std::string("-");
     };
-    table.add_row({kAllModes[i].name, TextTable::fmt(total_ipc(r), 4),
+    table.add_row({sim::memory_mode_name(specs[i].mode),
+                   TextTable::fmt(total_ipc(r), 4),
                    TextTable::fmt(total_ipc(r) / total_ipc(base), 4),
                    TextTable::fmt(r.total_energy_mj(), 2),
                    TextTable::fmt(r.total_energy_mj() / base.total_energy_mj(),
@@ -469,7 +464,7 @@ int run_compare(const Options& opt) {
               "second per mode\n(timed inside System::run; --jobs overlap "
               "makes per-mode wall time conservative)\n");
 
-  const sim::ExperimentResult& rop = results[1];
+  const sim::ExperimentResult& rop = result_of(sim::MemoryMode::kRop);
   if (rop.sram_hit_rate > 0.0) {
     std::printf("\nROP: sram-hit-rate=%.3f lambda=%.2f beta=%.2f\n",
                 rop.sram_hit_rate, rop.lambda, rop.beta);
@@ -487,7 +482,7 @@ int run_compare(const Options& opt) {
         sub.pop_back();
       }
       doc += '"';
-      doc += kAllModes[i].name;
+      doc += sim::memory_mode_name(specs[i].mode);
       doc += "\": ";
       doc += sub;
       doc += (i + 1 < results.size()) ? ",\n" : "\n";
@@ -499,9 +494,8 @@ int run_compare(const Options& opt) {
   return 0;
 }
 
-/// One run of the selected mode through run_experiment, then the report.
-int run_single(const Options& opt, sim::MemoryMode mode) {
-  const sim::ExperimentSpec spec = spec_from_options(opt, mode);
+/// One run of `spec` through run_experiment, then the report.
+int run_single(const Options& opt, const sim::ExperimentSpec& spec) {
   std::printf("ropsim: mode=%s ranks=%u channels=%u shards=%u llc=%lluMiB "
               "refresh=%s cores=%zu\n",
               opt.mode.c_str(), spec.ranks, spec.channels,
@@ -651,12 +645,11 @@ int run_campaign_cli(int argc, char** argv) {
     if (arg == "--out") {
       opts.out_dir = need(i);
     } else if (arg == "--jobs") {
-      opts.jobs = static_cast<unsigned>(std::atoi(need(i)));
+      opts.jobs = number<unsigned>(arg, need(i));
     } else if (arg == "--no-resume") {
       opts.resume = false;
     } else if (arg == "--stop-after") {
-      opts.stop_after = static_cast<std::size_t>(
-          std::strtoull(need(i), nullptr, 10));
+      opts.stop_after = number<std::size_t>(arg, need(i));
     } else if (arg == "--quiet") {
       opts.progress = false;
     } else if (arg == "--progress") {
@@ -709,56 +702,24 @@ int main(int argc, char** argv) {
                  opt.trace_format.c_str());
     usage(2);
   }
-  if (opt.trace_path.empty() && !is_known_benchmark(opt.benchmark)) {
-    std::fprintf(stderr, "unknown benchmark name: %s\n",
-                 opt.benchmark.c_str());
-    return 2;
-  }
-  const bool sampled = opt.loop == "sampled";
-  if (opt.sample_jobs > 0 && !sampled) {
+  if (opt.sample_jobs && opt.loop != "sampled") {
     std::fprintf(stderr, "--sample-jobs requires --loop sampled\n");
     return 2;
   }
-  if (sampled && (opt.epoch != 0 || !opt.trace_out.empty())) {
-    std::fprintf(stderr, "--loop sampled runs without telemetry sinks; "
-                         "--epoch and --trace-out are not supported\n");
+  if (opt.compare && (!opt.trace_path.empty() || !opt.trace_out.empty() ||
+                      !opt.snapshot_in.empty() || !opt.snapshot_out.empty() ||
+                      opt.snapshot_every > 0 || opt.snapshot_stop > 0)) {
+    std::fprintf(stderr, "--compare does not support --trace, --trace-out "
+                         "or --snapshot-* (nine modes, one file); run modes "
+                         "singly\n");
     return 2;
   }
-  if (opt.compare) {
-    if (!opt.trace_path.empty()) {
-      std::fprintf(stderr, "--compare does not support --trace\n");
-      return 2;
-    }
-    if (!opt.trace_out.empty()) {
-      std::fprintf(stderr, "--compare does not support --trace-out (six "
-                           "modes, one timeline file); run modes singly\n");
-      return 2;
-    }
-    return run_compare(opt);
-  }
-  const sim::MemoryMode mode = parse_mode(opt.mode);
-  if (snapshot_requested(opt) && sampled) {
-    std::fprintf(stderr, "--snapshot-* and --loop sampled are mutually "
-                         "exclusive\n");
+  // --compare ignores --mode and runs every mode of this one spec.
+  const sim::ExperimentSpec spec = spec_from_options(
+      opt, opt.compare ? sim::MemoryMode::kBaseline : parse_mode(opt.mode));
+  if (const std::string err = sim::spec_error(spec); !err.empty()) {
+    std::fprintf(stderr, "ropsim: %s\n", err.c_str());
     return 2;
   }
-  if ((opt.snapshot_stop > 0 || opt.snapshot_every > 0) &&
-      opt.snapshot_out.empty()) {
-    std::fprintf(stderr, "--snapshot-stop-at/--snapshot-every require "
-                         "--snapshot-out\n");
-    return 2;
-  }
-  if (opt.shard_channels > 0 &&
-      (opt.loop != "event" || !opt.trace_out.empty())) {
-    std::fprintf(stderr, "--shard-channels requires --loop event and no "
-                         "--trace-out\n");
-    return 2;
-  }
-  if (!opt.trace_path.empty() &&
-      (snapshot_requested(opt) || sampled || opt.shard_channels > 0)) {
-    std::fprintf(stderr, "--trace does not support --snapshot-*, --loop "
-                         "sampled or --shard-channels\n");
-    return 2;
-  }
-  return run_single(opt, mode);
+  return opt.compare ? run_compare(opt, spec) : run_single(opt, spec);
 }
