@@ -63,6 +63,7 @@ void SimChecker::on_tick_end(const mem::Controller& ctrl, Cycle now) {
   check_refresh_deadlines(ctrl, now);
   check_subarray_locks(ctrl, now);
   check_buffer_coherence(ctrl, now);
+  check_queue_index(ctrl, now);
 }
 
 void SimChecker::on_retired(const mem::Request& req) {
@@ -239,6 +240,76 @@ void SimChecker::check_buffer_coherence(const mem::Controller& c,
            << ": SRAM buffer holds line 0x" << std::hex << line << std::dec
            << " which has a queued newer write";
         violate(os.str());
+      }
+    }
+  }
+}
+
+void SimChecker::check_queue_index(const mem::Controller& c, Cycle now) {
+  const dram::Channel& ch = c.channel();
+  const auto fail = [&](int q, const std::string& what) {
+    std::ostringstream os;
+    os << "[queue-index] ch " << c.id() << " queue " << q << " cycle " << now
+       << ": " << what;
+    violate(os.str());
+  };
+  const mem::RequestView queues[] = {c.read_queue(), c.write_queue(),
+                                     c.prefetch_queue()};
+  for (int q = 0; q < 3; ++q) {
+    const mem::RequestView& queue = queues[q];
+    const mem::QueueIndex& index = c.queue_index(q);
+    if (index.size() != queue.size()) {
+      fail(q, "index holds " + std::to_string(index.size()) +
+                  " requests, queue " + std::to_string(queue.size()));
+    }
+    // Walking the queue oldest first must meet each bank's entries in
+    // order, with ages rising across banks.
+    std::vector<std::size_t> seen(
+        static_cast<std::size_t>(ch.num_ranks()) * index.banks(), 0);
+    std::uint64_t last_age = 0;
+    bool ordered = true;
+    for (std::size_t i = 0; i < queue.size() && ordered; ++i) {
+      const DramCoord& coord = queue[i].coord;
+      const std::size_t slot = index.slot(coord.rank, coord.bank);
+      const auto entries = index.bank(slot);
+      const std::size_t at = seen[slot]++;
+      if (at >= entries.size() || entries[at].request != queue.index(i) ||
+          entries[at].row != coord.row ||
+          (i > 0 && entries[at].age <= last_age)) {
+        fail(q, "queue position " + std::to_string(i) + " (rank " +
+                    std::to_string(coord.rank) + " bank " +
+                    std::to_string(coord.bank) +
+                    ") is not the next entry of its bank");
+        ordered = false;
+      }
+      last_age = entries[at].age;
+    }
+    if (!ordered) continue;
+    std::vector<bool> busy(seen.size(), false);
+    index.for_each_busy([&busy](std::size_t slot) {
+      busy[slot] = true;
+      return false;
+    });
+    for (std::size_t slot = 0; slot < seen.size(); ++slot) {
+      const std::string bank_name = "bank slot " + std::to_string(slot);
+      if (seen[slot] != index.bank(slot).size()) {
+        fail(q, bank_name + " lists requests that are not queued");
+      }
+      if (busy[slot] != (seen[slot] > 0)) {
+        fail(q, bank_name + (busy[slot] ? " is empty but marked busy"
+                                        : " has requests but is not busy"));
+      }
+      const dram::Bank& bank =
+          ch.rank(static_cast<RankId>(slot / index.banks()))
+              .bank(static_cast<BankId>(slot % index.banks()));
+      const auto hits = static_cast<std::uint32_t>(std::ranges::count_if(
+          index.bank(slot), [&bank](const mem::QueueIndex::Entry& e) {
+            return bank.open_row() == e.row;
+          }));
+      if (index.open_row_hits(slot) != hits) {
+        fail(q, bank_name + " counts " +
+                    std::to_string(index.open_row_hits(slot)) +
+                    " open-row hits, has " + std::to_string(hits));
       }
     }
   }

@@ -11,7 +11,10 @@
 // Invariant families (docs/CORRECTNESS.md has the full catalogue):
 //  (a) counter/index consistency — pending_reads_/pending_writes_/
 //      queued_prefetches_/inflight_prefetches_ equal a fresh count of the
-//      queues, and write_index_ is exactly the set of queued write lines;
+//      queues, write_index_ is exactly the set of queued write lines, and
+//      each queue's per-bank scheduler index lists exactly the queue's
+//      requests, bank by bank in queue order, marks exactly the banks that
+//      have some, and counts each bank's open-row hits right;
 //  (b) buffer coherence — the SRAM buffer never holds a line with a queued
 //      newer write on its channel;
 //  (c) refresh deadlines — per-rank owed refreshes never exceed the JEDEC
@@ -109,6 +112,7 @@ class SimChecker final : public mem::ControllerAuditor {
   void check_refresh_deadlines(const mem::Controller& c, Cycle now);
   void check_subarray_locks(const mem::Controller& c, Cycle now);
   void check_buffer_coherence(const mem::Controller& c, Cycle now);
+  void check_queue_index(const mem::Controller& c, Cycle now);
   void check_conservation();
 
   CheckerConfig cfg_;

@@ -19,6 +19,9 @@ Controller::Controller(ChannelId id, const dram::DramTimings& timings,
       blocking_(org.ranks, timings.tRFC),
       stats_(stats),
       reads_by_rank_(org.ranks),
+      by_bank_{QueueIndex(org.ranks, org.banks),
+               QueueIndex(org.ranks, org.banks),
+               QueueIndex(org.ranks, org.banks)},
       pending_reads_(org.ranks, 0),
       pending_writes_(org.ranks, 0),
       queued_prefetches_(org.ranks, 0),
@@ -204,6 +207,7 @@ bool Controller::enqueue(Request req, Cycle now) {
     const RankId r = req.coord.rank;
     const RequestIndex idx = arena_.alloc(req);
     read_q_.push_back(idx);
+    by_bank_[0].push(idx, req.coord, hits_open_row(req.coord));
     reads_by_rank_[r].push_back(idx);
     ++pending_reads_[r];
     ++reads_by_bank_count_[bank_slot(r, req.coord.bank)];
@@ -259,7 +263,9 @@ bool Controller::enqueue(Request req, Cycle now) {
       h_.write_coalesced->inc();
       return true;
     }
-    write_q_.push_back(arena_.alloc(req));
+    const RequestIndex idx = arena_.alloc(req);
+    write_q_.push_back(idx);
+    by_bank_[1].push(idx, req.coord, hits_open_row(req.coord));
     write_index_.insert(req.line_addr);
     ++pending_writes_[req.coord.rank];
     ++writes_by_bank_count_[bank_slot(req.coord.rank, req.coord.bank)];
@@ -275,7 +281,9 @@ bool Controller::enqueue_prefetch(Request req, Cycle now) {
   }
   req.arrival = now;
   h_.prefetch_enqueued->inc();
-  prefetch_q_.push_back(arena_.alloc(req));
+  const RequestIndex idx = arena_.alloc(req);
+  prefetch_q_.push_back(idx);
+  by_bank_[2].push(idx, req.coord, hits_open_row(req.coord));
   ++queued_prefetches_[req.coord.rank];
   return true;
 }
@@ -313,6 +321,8 @@ void Controller::drop_prefetches(RankId rank) {
         trace_->record(e);
       }
       --queued_prefetches_[rank];
+      by_bank_[2].erase(idx, arena_[idx].coord,
+                        hits_open_row(arena_[idx].coord));
       arena_.release(idx);
     } else {
       prefetch_q_[out++] = idx;
@@ -459,7 +469,7 @@ void Controller::issue_refresh(RankId r, Cycle now) {
     e.arg = rm_.owed(r, now);
     trace_->record(e);
   }
-  channel_.issue(
+  issue_command(
       dram::Command{dram::CmdType::kRefresh, DramCoord{id_, r, 0, 0, 0}, 0},
       now);
   rm_.on_refresh_issued(r);
@@ -521,7 +531,7 @@ bool Controller::refresh_rank(RankId r, Cycle now, bool bus_free) {
   if (seal.cmd.type == dram::CmdType::kRefresh) {
     issue_refresh(r, now);
   } else {
-    channel_.issue(seal.cmd, now);
+    issue_command(seal.cmd, now);
   }
   return true;
 }
@@ -551,7 +561,7 @@ bool Controller::refresh_pausing(RankId r, Cycle now, bool bus_free) {
   const SealStep seal = seal_step(r, now);
   if (!channel_.can_issue(seal.cmd, now)) return false;
   if (seal.cmd.type == dram::CmdType::kPrecharge) {
-    channel_.issue(seal.cmd, now);
+    issue_command(seal.cmd, now);
     return true;
   }
 
@@ -674,7 +684,7 @@ std::optional<dram::Command> Controller::bank_refresh_command(
 bool Controller::refresh_bank_unit(RankId r, Cycle now) {
   const auto cmd = bank_refresh_command(r, now);
   if (!cmd || !channel_.can_issue(*cmd, now)) return false;
-  channel_.issue(*cmd, now);
+  issue_command(*cmd, now);
   if (cmd->type != dram::CmdType::kRefreshBank) return true;
 
   const BankId b = cmd->coord.bank;
@@ -742,30 +752,40 @@ void Controller::charge_refresh_blocking(std::uint64_t requests,
   h_.refresh_blocked_cycles->inc(requests * cycles);
 }
 
+Cycle Controller::issue_command(const dram::Command& cmd, Cycle now) {
+  const Cycle done = channel_.issue(cmd, now);
+  // Only ACT and PRE move a bank's open row (REF and REFpb need the row
+  // closed, or, for HiRA's overlap, leave it open).
+  if (cmd.type == dram::CmdType::kActivate ||
+      cmd.type == dram::CmdType::kPrecharge) {
+    const RankId r = cmd.coord.rank;
+    const BankId b = cmd.coord.bank;
+    const auto open = channel_.rank(r).bank(b).open_row();
+    for (QueueIndex& index : by_bank_) index.set_open_row(r, b, open);
+  }
+  return done;
+}
+
 void Controller::issue_pick(const SchedulerPick& pick, Cycle now) {
-  const Cycle done = channel_.issue(pick.cmd, now);
+  const Cycle done = issue_command(pick.cmd, now);
+  const RequestIndex idx = pick.request;
+  Request& req = arena_[idx];
   if (!pick.services_request()) {
     // A row activation picked for a specific queued read stamps its `act`
     // time: only the request that triggered the ACT pays activation wait;
     // row-hitting followers see pure queue wait. PRE picks (conflict
     // closes) carry request context too but stamp nothing.
-    if (pick.cmd.type == dram::CmdType::kActivate && pick.queue_id == 0) {
-      Request& req = arena_[read_q_[pick.request_index]];
-      if (req.act == kNeverCycle) req.act = now;
+    if (pick.cmd.type == dram::CmdType::kActivate && pick.queue_id == 0 &&
+        req.act == kNeverCycle) {
+      req.act = now;
     }
     return;
   }
 
-  std::vector<RequestIndex>* q = nullptr;
-  switch (pick.queue_id) {
-    case 0: q = &read_q_; break;
-    case 1: q = &write_q_; break;
-    case 2: q = &prefetch_q_; break;
-    default: ROP_ASSERT(false);
-  }
-  const RequestIndex idx = (*q)[pick.request_index];
-  q->erase(q->begin() + static_cast<std::ptrdiff_t>(pick.request_index));
-  Request& req = arena_[idx];
+  std::vector<RequestIndex>& q = queue(pick.queue_id);
+  q.erase(std::ranges::find(q, idx));
+  // A column command services a row hit.
+  by_bank_[pick.queue_id].erase(idx, req.coord, true);
   switch (pick.queue_id) {
     case 0: on_read_leaves_queue(req.coord.rank, idx, req); break;
     case 1:
@@ -825,9 +845,7 @@ bool Controller::write_drain_after(bool draining) const {
   return draining;
 }
 
-bool Controller::SchedulerView::operator()(const Request& req,
-                                           int queue_id) const {
-  const RankId r = req.coord.rank;
+bool Controller::SchedulerView::operator()(RankId r, int queue_id) const {
   if (ctrl->channel_.rank(r).refreshing()) return true;
   if ((urgent_mask >> r) & 1u) return true;
   // Prefetch reads flow through the whole lock window.
@@ -854,15 +872,26 @@ Controller::SchedulerView Controller::scheduler_view(bool draining,
   // against latency-critical reads.
   auto& v = view.views;
   std::size_t& n = view.n_views;
+  const auto add = [this, &v, &n](int id) {
+    v[n++] = QueueView{&arena_, &queue_index(id), id};
+  };
   if (draining) {
-    v[n++] = QueueView{&arena_, &write_q_, 1};
-    v[n++] = QueueView{&arena_, &read_q_, 0};
+    add(1);
+    add(0);
   } else {
-    v[n++] = QueueView{&arena_, &read_q_, 0};
-    if (read_q_.empty()) v[n++] = QueueView{&arena_, &write_q_, 1};
+    add(0);
+    if (read_q_.empty()) add(1);
   }
-  v[n++] = QueueView{&arena_, &prefetch_q_, 2};
+  add(2);
   return view;
+}
+
+std::vector<RequestIndex>& Controller::queue(int queue_id) {
+  switch (queue_id) {
+    case 0: return read_q_;
+    case 1: return write_q_;
+    default: ROP_ASSERT(queue_id == 2); return prefetch_q_;
+  }
 }
 
 std::vector<Request> Controller::drain_completed() {
@@ -900,6 +929,7 @@ void Controller::complete_matching_reads(
     const auto it = std::find(read_q_.begin(), read_q_.end(), idx);
     ROP_ASSERT(it != read_q_.end());
     read_q_.erase(it);
+    by_bank_[0].erase(idx, req.coord, hits_open_row(req.coord));
     --pending_reads_[rank];
     --reads_by_bank_count_[bank_slot(rank, req.coord.bank)];
     if (locked_at_[rank] != kNeverCycle && req.arrival <= locked_at_[rank]) {

@@ -309,6 +309,11 @@ class Controller {
   [[nodiscard]] const std::unordered_set<Address>& write_index() const {
     return write_index_;
   }
+  /// The scheduler's per-bank index of queue `queue_id` (0 read, 1 write,
+  /// 2 prefetch).
+  [[nodiscard]] const QueueIndex& queue_index(int queue_id) const {
+    return by_bank_[static_cast<std::size_t>(queue_id)];
+  }
   [[nodiscard]] std::uint32_t pending_reads(RankId rank) const {
     return pending_reads_.at(rank);
   }
@@ -372,10 +377,12 @@ class Controller {
 
   /// Snapshot serialization (see common/snapshot_io.h): the channel, the
   /// refresh bookkeeping, the arena-backed queues, and every incrementally
-  /// maintained counter. write_index_ is a derived view of write_q_ and is
-  /// rebuilt on restore instead of being serialized (unordered containers
-  /// have no canonical byte order). Stat handles, the listener/auditor and
-  /// the trace sink are runtime wiring and do not ride.
+  /// maintained counter. write_index_ and the scheduler's per-bank queue
+  /// indices are derived views of the queues and are rebuilt on restore
+  /// instead of being serialized (unordered containers have no canonical
+  /// byte order; the indices' ages only need to follow queue order). Stat
+  /// handles, the listener/auditor and the trace sink are runtime wiring
+  /// and do not ride.
   template <class Ar>
   void io(Ar& ar) {
     ar(channel_, rm_, blocking_, arena_, read_q_, write_q_, prefetch_q_,
@@ -390,6 +397,9 @@ class Controller {
       for (const RequestIndex idx : write_q_) {
         write_index_.insert(arena_[idx].line_addr);
       }
+      for (int q = 0; q < 3; ++q) {
+        by_bank_[q].assign(queue(q), arena_, channel_);
+      }
     }
   }
 
@@ -397,6 +407,10 @@ class Controller {
   /// tick() body; split out so the auditor hook runs after every exit path.
   void step(Cycle now);
   void issue_pick(const SchedulerPick& pick, Cycle now);
+  /// Put `cmd` on the bus (legal at `now`); an ACT or PRE also moves the
+  /// bank's open-row hit counts in the queue indices. Every command the
+  /// controller issues goes through here.
+  Cycle issue_command(const dram::Command& cmd, Cycle now);
   void complete_bursts(Cycle now);
   /// Flush queued prefetches for a rank (urgent refresh override).
   void drop_prefetches(RankId rank);
@@ -478,8 +492,8 @@ class Controller {
   [[nodiscard]] bool write_drain_after(bool draining) const;
   /// One tick's scheduler inputs, built by scheduler_view for both step
   /// and next_event_cycle: the queue views in priority order, and the
-  /// blocked predicate (refreshing ranks, urgent pausing ranks, and demand
-  /// to sealing ranks).
+  /// blocked predicate over (rank, queue) (refreshing ranks, urgent pausing
+  /// ranks, and demand to sealing ranks).
   struct SchedulerView {
     const Controller* ctrl = nullptr;
     std::array<QueueView, 3> views{};
@@ -488,9 +502,16 @@ class Controller {
     [[nodiscard]] std::span<const QueueView> queues() const {
       return {views.data(), n_views};
     }
-    bool operator()(const Request& req, int queue_id) const;
+    bool operator()(RankId r, int queue_id) const;
   };
   [[nodiscard]] SchedulerView scheduler_view(bool draining, Cycle now) const;
+
+  /// Queue `queue_id` (0 read, 1 write, 2 prefetch).
+  [[nodiscard]] std::vector<RequestIndex>& queue(int queue_id);
+  /// True when `c.row` is the open row of its bank.
+  [[nodiscard]] bool hits_open_row(const DramCoord& c) const {
+    return channel_.rank(c.rank).bank(c.bank).open_row() == c.row;
+  }
 
   /// Remove `idx` from rank `r`'s read index and from the drain counter
   /// when the request predates the rank's lock.
@@ -571,6 +592,10 @@ class Controller {
   /// (tightened on push, rebuilt during the complete_bursts sweep) so
   /// next_event_cycle avoids a per-call linear scan.
   Cycle inflight_min_completion_ = kNeverCycle;
+
+  /// Per-bank indices of read_q_, write_q_ and prefetch_q_ (by queue id)
+  /// that the scheduler reads.
+  std::array<QueueIndex, 3> by_bank_;
 
   /// Lines currently present in write_q_. Coalescing keeps at most one
   /// queued write per line, so a set gives O(1) read-after-write forwarding,

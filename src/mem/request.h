@@ -159,6 +159,10 @@ class RequestView {
   [[nodiscard]] const Request& operator[](std::size_t i) const {
     return (*arena_)[(*indices_)[i]];
   }
+  /// Arena index of the request at queue position `i`.
+  [[nodiscard]] RequestIndex index(std::size_t i) const {
+    return (*indices_)[i];
+  }
 
  private:
   const RequestArena* arena_;

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -27,38 +28,150 @@ struct SchedulerConfig {
   std::size_t write_drain_low = 16;       // leave drain mode at this depth
 };
 
-/// The scheduler's decision: which command to put on the command bus, and —
-/// for column commands — which queued request it services.
+/// One request queue indexed by DRAM bank: each (rank, bank) slot lists its
+/// queued requests in age order, with the count of them that hit the bank's
+/// open row. The owner keeps it in step with the queue (push on enqueue,
+/// erase on every removal) and with the channel (set_open_row on every ACT
+/// and PRE), so the scheduler's cost follows the banks with work, not the
+/// requests. It is derived state: rebuilt from the queue, never serialized.
+/// Its storage is sized for the channel at construction.
+class QueueIndex {
+ public:
+  struct Entry {
+    std::uint64_t age = 0;  // enqueue order within the queue: smaller is older
+    RequestIndex request = kNoRequest;
+    RowId row = 0;
+  };
+
+  QueueIndex(std::uint32_t ranks, std::uint32_t banks)
+      : banks_(banks),
+        slots_(static_cast<std::size_t>(ranks) * banks),
+        busy_((slots_.size() + 63) / 64) {}
+
+  [[nodiscard]] std::uint32_t banks() const { return banks_; }
+  [[nodiscard]] std::size_t slot(RankId r, BankId b) const {
+    return static_cast<std::size_t>(r) * banks_ + b;
+  }
+  [[nodiscard]] std::size_t size() const { return size_; }
+
+  /// Append `request`, targeting `coord`, as the youngest of its bank.
+  /// `hit`: coord.row is the bank's open row.
+  void push(RequestIndex request, const DramCoord& coord, bool hit) {
+    const std::size_t s = slot(coord.rank, coord.bank);
+    slots_[s].entries.push_back(Entry{next_age_++, request, coord.row});
+    slots_[s].hits += hit ? 1 : 0;
+    busy_[s / 64] |= std::uint64_t{1} << (s % 64);
+    ++size_;
+  }
+
+  /// Remove `request` (queued to `coord`; `hit` as for push).
+  void erase(RequestIndex request, const DramCoord& coord, bool hit) {
+    const std::size_t s = slot(coord.rank, coord.bank);
+    std::vector<Entry>& entries = slots_[s].entries;
+    const auto it = std::ranges::find(entries, request, &Entry::request);
+    ROP_ASSERT(it != entries.end());
+    entries.erase(it);
+    slots_[s].hits -= hit ? 1 : 0;
+    if (entries.empty()) busy_[s / 64] &= ~(std::uint64_t{1} << (s % 64));
+    --size_;
+  }
+
+  /// Bank (r, b) opened `row`, or closed its row (nullopt).
+  void set_open_row(RankId r, BankId b, std::optional<RowId> row) {
+    Slot& s = slots_[slot(r, b)];
+    s.hits = row ? static_cast<std::uint32_t>(
+                       std::ranges::count(s.entries, *row, &Entry::row))
+                 : 0;
+  }
+
+  /// Rebuild from `queue` (oldest first) over the channel's open rows.
+  void assign(std::span<const RequestIndex> queue, const RequestArena& arena,
+              const dram::Channel& channel) {
+    for (Slot& s : slots_) s = Slot{};
+    std::ranges::fill(busy_, 0);
+    size_ = 0;
+    next_age_ = 0;
+    for (const RequestIndex idx : queue) {
+      const DramCoord& c = arena[idx].coord;
+      const auto open = channel.rank(c.rank).bank(c.bank).open_row();
+      push(idx, c, open == c.row);
+    }
+  }
+
+  /// The bank's entries, oldest first.
+  [[nodiscard]] std::span<const Entry> bank(std::size_t s) const {
+    return slots_[s].entries;
+  }
+  /// How many of the bank's entries hit its open row.
+  [[nodiscard]] std::uint32_t open_row_hits(std::size_t s) const {
+    return slots_[s].hits;
+  }
+
+  /// Call `visit(slot)` for each slot with entries, in slot order, until it
+  /// returns true; true when it did.
+  template <typename Visit>
+  bool for_each_busy(const Visit& visit) const {
+    for (std::size_t w = 0; w < busy_.size(); ++w) {
+      for (std::uint64_t bits = busy_[w]; bits != 0; bits &= bits - 1) {
+        if (visit(w * 64 + static_cast<std::size_t>(std::countr_zero(bits)))) {
+          return true;
+        }
+      }
+    }
+    return false;
+  }
+
+ private:
+  struct Slot {
+    std::vector<Entry> entries;
+    std::uint32_t hits = 0;
+  };
+
+  std::uint32_t banks_ = 0;
+  std::uint64_t next_age_ = 0;
+  std::size_t size_ = 0;
+  std::vector<Slot> slots_;
+  std::vector<std::uint64_t> busy_;  // one bit per slot with entries
+};
+
+/// The scheduler's decision: which command to put on the command bus, and
+/// which queued request it is for (the one a column command services, or
+/// the one an ACT or PRE makes way for).
 struct SchedulerPick {
   dram::Command cmd;
-  int queue_id = -1;            // index into the QueueView span
-  std::size_t request_index = 0;  // index within that queue
+  int queue_id = -1;                 // QueueView::id of the request's queue
+  RequestIndex request = kNoRequest;  // arena index of the request
   [[nodiscard]] bool services_request() const { return cmd.is_column(); }
 };
 
-/// A queue the scheduler may draw from this cycle, in priority order.
-/// Queues store arena indices; the view carries the arena to dereference
-/// them.
+/// A queue the scheduler may draw from this cycle, in priority order. The
+/// index lists the queue's requests by bank; the arena holds the requests.
 struct QueueView {
   const RequestArena* arena = nullptr;
-  const std::vector<RequestIndex>* indices = nullptr;
+  const QueueIndex* index = nullptr;
   int id = -1;
 };
 
+/// Both entry points make one pass over the banks that have queued work,
+/// asking Channel::earliest_issue once per bank and command kind (per
+/// subarray for ACT), and `blocked(rank, queue_id)` once per rank and queue.
+/// `blocked` masks the rank's requests in that queue for this cycle (rank
+/// refreshing, rank locked for an imminent refresh, ...).
 class Scheduler {
  public:
   explicit Scheduler(SchedulerConfig cfg) : cfg_(cfg) {}
 
   [[nodiscard]] const SchedulerConfig& config() const { return cfg_; }
 
-  /// Choose the next command. `blocked(request, queue_id)` masks requests
-  /// that must not be scheduled this cycle (rank refreshing, rank locked
-  /// for an imminent refresh, post-lock arrivals during a drain, ...).
-  ///
-  /// Takes the first candidate (see for_each_candidate) ready at `now`
-  /// that is a column command (a row hit: "first ready"); failing that,
-  /// the first ready candidate of any kind, i.e. an ACT, or a PRE for a row
-  /// conflict that no queued request still row-hits.
+  /// Choose the next command, in FR-FCFS order over the unblocked requests
+  /// of `queues` (queue priority, then age):
+  ///  - first ready: the first request that row-hits and whose column
+  ///    command can issue at `now`;
+  ///  - failing that, the first request whose row command can issue at
+  ///    `now`: an ACT on a precharged bank, judged for the request's
+  ///    subarray, or a PRE on a row conflict that no request in `queues`
+  ///    (blocked ones included) still hits. A refreshing bank's ACT waits
+  ///    at least for the next tick, whose Channel::tick releases the lock.
   template <typename BlockedPred>
   [[nodiscard]] std::optional<SchedulerPick> pick(
       std::span<const QueueView> queues, const dram::Channel& channel,
@@ -69,10 +182,11 @@ class Scheduler {
   /// ever issue without other state changing first: the minimum over
   /// pick()'s candidates of their earliest issue cycles, clamped to
   /// `now + 1` (at most one command leaves per cycle, so a second ready
-  /// candidate simply waits its turn). Blocked requests are skipped; their
-  /// unblock points (refresh completion, seal/REF transitions) are separate
-  /// controller events. Returns as soon as a candidate at `now + 1` is
-  /// found.
+  /// candidate simply waits its turn). A taker-held PRE counts as never: the
+  /// row stays open until an issue or an enqueue changes the queues. Blocked
+  /// requests are skipped; their unblock points (refresh completion,
+  /// seal/REF transitions) are separate controller events. Returns as soon
+  /// as a candidate at `now + 1` is found.
   template <typename BlockedPred>
   [[nodiscard]] Cycle earliest_issue_cycle(std::span<const QueueView> queues,
                                            const dram::Channel& channel,
@@ -80,73 +194,13 @@ class Scheduler {
                                            const BlockedPred& blocked) const;
 
  private:
-  /// One request's candidate command and the earliest cycle it can issue.
-  struct Candidate {
-    SchedulerPick pick;
-    Cycle when = kNeverCycle;
-  };
-
-  /// Where a bank's memo entries live in memo_ for the current channel.
-  struct MemoShape {
-    std::uint32_t banks = 0;     // banks per rank
-    std::uint32_t subs = 0;      // subarrays per bank
-    std::size_t act_base = 0;    // first ACT entry
-  };
-
-  /// Visit the candidate command of every unblocked request, in queue
-  /// priority then age order, until `visit` returns true. A request's
-  /// candidate is the column command on an open-row hit; with `rows`, also
-  /// an ACT on a precharged or refreshing bank, and a PRE on a row
-  /// conflict. `when` is Channel::earliest_issue, with two state rules on
-  /// top: a refreshing bank's ACT waits at least for the next tick, whose
-  /// Channel::tick releases the lock; and a PRE is never issuable while a
-  /// queued request still row-hits the open row (the row stays open for
-  /// that taker until an issue or an enqueue changes the queues; counting
-  /// the PRE would put the bound in the past and make the event loop tick
-  /// every cycle).
+  /// Call `visit(slot, rank, bank)` for each bank with requests in `qv`
+  /// whose rank `blocked` leaves open to the queue, until it returns true.
   template <typename BlockedPred, typename Visit>
-  void for_each_candidate(std::span<const QueueView> queues,
-                          const dram::Channel& channel, Cycle now,
-                          const BlockedPred& blocked, const MemoShape& shape,
-                          bool rows, const Visit& visit) const;
-
-  /// Size the memo for `channel` and invalidate it: one generation per
-  /// pick() or earliest_issue_cycle() call, over which the channel is
-  /// frozen.
-  MemoShape reset_memo(const dram::Channel& channel) const {
-    MemoShape shape;
-    if (channel.num_ranks() > 0) {
-      shape.banks = channel.rank(0).num_banks();
-      shape.subs = channel.rank(0).bank(0).subarrays();
-    }
-    const std::size_t banks = std::size_t{channel.num_ranks()} * shape.banks;
-    shape.act_base = banks * kBankMemos;
-    if (memo_.size() < shape.act_base + banks * shape.subs) {
-      memo_.resize(shape.act_base + banks * shape.subs);
-    }
-    ++generation_;
-    return shape;
-  }
+  static bool for_each_bank(const QueueView& qv, const BlockedPred& blocked,
+                            const Visit& visit);
 
   SchedulerConfig cfg_;
-
-  // A command's earliest issue cycle depends on the request only through
-  // its row: column candidates all target the bank's open row, PRE ignores
-  // the row, and ACT sees it only through its subarray's refresh lock. One
-  // memo entry per (bank, command kind), and per (bank, subarray) for ACT,
-  // therefore answers every same-bank candidate, collapsing the O(queue)
-  // legality probes (and open-row taker scans) that dominate
-  // saturated-queue cycles where nothing can issue. Entries are valid only
-  // in the generation that filled them, so invalidating the memo costs one
-  // increment, not a clear. memo_ holds kBankMemos entries per bank, then
-  // the ACT entries from MemoShape::act_base.
-  struct Memo {
-    std::uint64_t generation = 0;
-    Cycle when = 0;
-  };
-  enum BankMemo : std::size_t { kReadMemo, kWriteMemo, kPreMemo, kBankMemos };
-  mutable std::vector<Memo> memo_;
-  mutable std::uint64_t generation_ = 0;
 };
 
 namespace scheduler_detail {
@@ -156,73 +210,50 @@ inline dram::CmdType column_cmd_for(const Request& req) {
                                      : dram::CmdType::kRead;
 }
 
-/// True when any request in any queue would row-hit bank `coord`'s
-/// currently open row (used to avoid closing rows that still have takers).
-inline bool open_row_has_taker(std::span<const QueueView> queues,
-                               const DramCoord& coord, RowId open_row) {
-  for (const QueueView& qv : queues) {
-    for (const RequestIndex ri : *qv.indices) {
-      const Request& req = (*qv.arena)[ri];
-      if (req.coord.rank == coord.rank && req.coord.bank == coord.bank &&
-          req.coord.row == open_row) {
-        return true;
-      }
-    }
-  }
-  return false;
+/// A command to (rank, bank, row) for legality queries: channel and column
+/// do not enter Channel::earliest_issue.
+inline dram::Command bank_command(dram::CmdType type, RankId r, BankId b,
+                                  RowId row) {
+  return dram::Command{type, DramCoord{0, r, b, row, 0}, 0};
+}
+
+/// True when a request in any of `queues` hits the open row of bank `slot`
+/// (a PRE would close the row on that taker): one hit-count read per queue.
+inline bool view_hits_open_row(std::span<const QueueView> queues,
+                               std::size_t slot) {
+  return std::ranges::any_of(queues, [slot](const QueueView& qv) {
+    return qv.index->open_row_hits(slot) > 0;
+  });
+}
+
+/// The pick of `cmd_type` for the queued request `entry` of `qv`.
+inline SchedulerPick pick_for(const QueueView& qv,
+                              const QueueIndex::Entry& entry,
+                              dram::CmdType cmd_type) {
+  const Request& req = (*qv.arena)[entry.request];
+  const RequestId id = cmd_type == dram::CmdType::kPrecharge ? 0 : req.id;
+  return SchedulerPick{dram::Command{cmd_type, req.coord, id}, qv.id,
+                       entry.request};
 }
 
 }  // namespace scheduler_detail
 
 template <typename BlockedPred, typename Visit>
-void Scheduler::for_each_candidate(std::span<const QueueView> queues,
-                                   const dram::Channel& channel, Cycle now,
-                                   const BlockedPred& blocked,
-                                   const MemoShape& shape, bool rows,
-                                   const Visit& visit) const {
-  for (const QueueView& qv : queues) {
-    std::size_t i = 0;
-    for (const RequestIndex ri : *qv.indices) {
-      const Request& req = (*qv.arena)[ri];
-      const std::size_t at = i++;
-      if (blocked(req, qv.id)) continue;
-      const dram::Bank& bank =
-          channel.rank(req.coord.rank).bank(req.coord.bank);
-      const std::size_t slot =
-          std::size_t{req.coord.rank} * shape.banks + req.coord.bank;
-      dram::Command cmd{dram::CmdType::kActivate, req.coord, req.id};
-      std::size_t entry = 0;
-      if (bank.state() == dram::BankState::kActive &&
-          *bank.open_row() == req.coord.row) {
-        cmd.type = scheduler_detail::column_cmd_for(req);
-        entry = slot * kBankMemos +
-                (cmd.type == dram::CmdType::kWrite ? kWriteMemo : kReadMemo);
-      } else if (!rows) {
-        continue;
-      } else if (bank.state() == dram::BankState::kActive) {
-        cmd = dram::Command{dram::CmdType::kPrecharge, req.coord, 0};
-        entry = slot * kBankMemos + kPreMemo;
-      } else {
-        entry = shape.act_base + slot * shape.subs +
-                bank.subarray_of(req.coord.row);
-      }
-      Memo& memo = memo_[entry];
-      if (memo.generation != generation_) {
-        memo.generation = generation_;
-        if (cmd.type == dram::CmdType::kPrecharge &&
-            scheduler_detail::open_row_has_taker(queues, req.coord,
-                                                 *bank.open_row())) {
-          memo.when = kNeverCycle;
-        } else {
-          memo.when = channel.earliest_issue(cmd);
-          if (bank.state() == dram::BankState::kRefreshing) {
-            memo.when = std::max(memo.when, now + 1);
-          }
-        }
-      }
-      if (visit(Candidate{SchedulerPick{cmd, qv.id, at}, memo.when})) return;
+bool Scheduler::for_each_bank(const QueueView& qv, const BlockedPred& blocked,
+                              const Visit& visit) {
+  const std::uint32_t banks = qv.index->banks();
+  // Slots run rank-major, so one verdict per rank serves all its banks.
+  RankId gate = ~RankId{0};
+  bool gate_blocked = false;
+  return qv.index->for_each_busy([&](std::size_t slot) {
+    const auto r = static_cast<RankId>(slot / banks);
+    if (r != gate) {
+      gate = r;
+      gate_blocked = blocked(r, qv.id);
     }
-  }
+    return !gate_blocked &&
+           visit(slot, r, static_cast<BankId>(slot % banks));
+  });
 }
 
 template <typename BlockedPred>
@@ -230,33 +261,126 @@ std::optional<SchedulerPick> Scheduler::pick(std::span<const QueueView> queues,
                                              const dram::Channel& channel,
                                              Cycle now,
                                              const BlockedPred& blocked) const {
-  const MemoShape shape = reset_memo(channel);
-  std::optional<SchedulerPick> found;
-  const auto first_ready = [&found, now](const Candidate& c) {
-    if (c.when > now) return false;
-    found = c.pick;
-    return true;
-  };
-  for_each_candidate(queues, channel, now, blocked, shape, false, first_ready);
-  if (!found) {
-    for_each_candidate(queues, channel, now, blocked, shape, true,
-                       first_ready);
+  using Entry = QueueIndex::Entry;
+  using scheduler_detail::bank_command;
+  // Column pass. Column legality depends on the request only through its
+  // bank and direction, so each bank offers its oldest row hit.
+  for (const QueueView& qv : queues) {
+    const Entry* best = nullptr;
+    dram::CmdType best_type = dram::CmdType::kRead;
+    for_each_bank(qv, blocked, [&](std::size_t slot, RankId r, BankId b) {
+      const dram::Bank& bank = channel.rank(r).bank(b);
+      if (qv.index->open_row_hits(slot) == 0 ||
+          bank.state() != dram::BankState::kActive) {
+        return false;
+      }
+      const auto entries = qv.index->bank(slot);
+      const RowId open = *bank.open_row();
+      const Entry& hit = *std::ranges::find(entries, open, &Entry::row);
+      if (best != nullptr && best->age < hit.age) return false;
+      const dram::CmdType type =
+          scheduler_detail::column_cmd_for((*qv.arena)[hit.request]);
+      if (channel.earliest_issue(bank_command(type, r, b, open)) <= now) {
+        best = &hit;
+        best_type = type;
+      }
+      return false;
+    });
+    if (best != nullptr) return scheduler_detail::pick_for(qv, *best, best_type);
   }
-  return found;
+  // Row pass: no column command is ready, so every candidate left is a
+  // PRE or an ACT.
+  for (const QueueView& qv : queues) {
+    const Entry* best = nullptr;
+    dram::CmdType best_type = dram::CmdType::kActivate;
+    for_each_bank(qv, blocked, [&](std::size_t slot, RankId r, BankId b) {
+      const dram::Bank& bank = channel.rank(r).bank(b);
+      const auto entries = qv.index->bank(slot);
+      if (bank.state() == dram::BankState::kActive) {
+        // With no taker in the view every entry conflicts: the oldest one
+        // asks for the PRE.
+        const Entry& head = entries.front();
+        if ((best != nullptr && best->age < head.age) ||
+            scheduler_detail::view_hits_open_row(queues, slot)) {
+          return false;
+        }
+        const auto pre = bank_command(dram::CmdType::kPrecharge, r, b, 0);
+        if (channel.earliest_issue(pre) <= now) {
+          best = &head;
+          best_type = dram::CmdType::kPrecharge;
+        }
+      } else if (bank.state() == dram::BankState::kPrecharged) {
+        // The oldest entry whose subarray can activate now.
+        std::uint64_t tried = 0;
+        for (const Entry& e : entries) {
+          if (best != nullptr && best->age < e.age) break;
+          const std::uint32_t sub = bank.subarray_of(e.row);
+          if (sub < 64) {
+            if (((tried >> sub) & 1u) != 0) continue;
+            tried |= std::uint64_t{1} << sub;
+          }
+          const auto act = bank_command(dram::CmdType::kActivate, r, b, e.row);
+          if (channel.earliest_issue(act) <= now) {
+            best = &e;
+            best_type = dram::CmdType::kActivate;
+            break;
+          }
+        }
+      }
+      return false;
+    });
+    if (best != nullptr) return scheduler_detail::pick_for(qv, *best, best_type);
+  }
+  return std::nullopt;
 }
 
 template <typename BlockedPred>
 Cycle Scheduler::earliest_issue_cycle(std::span<const QueueView> queues,
                                       const dram::Channel& channel, Cycle now,
                                       const BlockedPred& blocked) const {
-  const MemoShape shape = reset_memo(channel);
+  using scheduler_detail::bank_command;
   const Cycle soonest = now + 1;
   Cycle best = kNeverCycle;
-  for_each_candidate(queues, channel, now, blocked, shape, true,
-                     [&best, soonest](const Candidate& c) {
-                       best = std::min(best, std::max(c.when, soonest));
-                       return best <= soonest;
-                     });
+  const auto consider = [&best, soonest](Cycle when) {
+    best = std::min(best, std::max(when, soonest));
+    return best <= soonest;
+  };
+  for (const QueueView& qv : queues) {
+    const bool done =
+        for_each_bank(qv, blocked, [&](std::size_t slot, RankId r, BankId b) {
+          const dram::Bank& bank = channel.rank(r).bank(b);
+          const auto entries = qv.index->bank(slot);
+          if (bank.state() == dram::BankState::kActive) {
+            if (qv.index->open_row_hits(slot) > 0) {
+              const dram::CmdType type = scheduler_detail::column_cmd_for(
+                  (*qv.arena)[entries.front().request]);
+              return consider(channel.earliest_issue(
+                  bank_command(type, r, b, *bank.open_row())));
+            }
+            if (scheduler_detail::view_hits_open_row(queues, slot)) {
+              return false;
+            }
+            return consider(channel.earliest_issue(
+                bank_command(dram::CmdType::kPrecharge, r, b, 0)));
+          }
+          // One ACT per subarray present. A refreshing bank's waits for
+          // the next tick's release, which the clamp to now + 1 covers.
+          std::uint64_t seen = 0;
+          for (const QueueIndex::Entry& e : entries) {
+            const std::uint32_t sub = bank.subarray_of(e.row);
+            if (sub < 64) {
+              if (((seen >> sub) & 1u) != 0) continue;
+              seen |= std::uint64_t{1} << sub;
+            }
+            if (consider(channel.earliest_issue(bank_command(
+                    dram::CmdType::kActivate, r, b, e.row)))) {
+              return true;
+            }
+          }
+          return false;
+        });
+    if (done) break;
+  }
   return best;
 }
 

@@ -9,6 +9,7 @@
 #include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "cache/llc.h"
 #include "check/sim_checker.h"
@@ -272,6 +273,17 @@ std::string spec_error(const ExperimentSpec& spec) {
   }
   if (spec.ranks == 0 || spec.channels == 0) {
     return "ranks and channels must be >= 1";
+  }
+  if (spec.mode == MemoryMode::kRop) {
+    // The engine's SRAM buffer, observation window and training phase each
+    // need at least one unit.
+    const std::pair<std::uint32_t, const char*> rop_fields[] = {
+        {spec.rop.buffer_lines, "rop.buffer_lines"},
+        {spec.rop.window_multiple, "rop.window_multiple"},
+        {spec.rop.training_refreshes, "rop.training_refreshes"}};
+    for (const auto& [value, name] : rop_fields) {
+      if (value == 0) return std::string(name) + " must be >= 1";
+    }
   }
   if (!cache::valid_geometry(
           make_system_config(spec.llc_bytes, spec.rank_partition).llc)) {

@@ -4,7 +4,9 @@
 
 #include <map>
 
+#include "check/sim_checker.h"
 #include "common/rng.h"
+#include "common/snapshot_io.h"
 #include "mem/controller.h"
 
 namespace rop::mem {
@@ -351,6 +353,88 @@ TEST_F(ControllerTest, RequestConservationUnderLoad) {
   }
   EXPECT_EQ(completed, accepted);
   c->finalize(now);
+}
+
+TEST_F(ControllerTest, QueueIndexFollowsEveryPath) {
+  // The scheduler's per-bank queue index must follow every path that adds
+  // or removes a request (enqueue, column issue, SRAM-buffer service,
+  // prefetch drops at REF, snapshot restore) and every open-row change
+  // (ACT, PRE, the precharges that seal a rank for REF, REFpb, and the
+  // subarray refreshes of SARP and HiRA, HiRA's with a row open elsewhere).
+  // The checker rebuilds it from the queues after every tick, and after
+  // the SRAM-buffer service and the restore done between ticks here.
+  org.ranks = 2;
+  for (const RefreshPolicy policy :
+       {RefreshPolicy::kAutoRefresh, RefreshPolicy::kPerBank,
+        RefreshPolicy::kDarp, RefreshPolicy::kSarp, RefreshPolicy::kHira}) {
+    SCOPED_TRACE(static_cast<int>(policy));
+    org.subarrays = policy_uses_subarrays(policy) ? 8 : 1;
+    ControllerConfig cfg;
+    cfg.policy = policy;
+    StatRegistry reg;
+    auto c = std::make_unique<Controller>(0, t, org, cfg, &reg);
+    check::SimChecker checker;
+    c->set_auditor(&checker);
+    Rng rng(static_cast<std::uint64_t>(policy) + 1);
+    const auto coord = [&rng] {
+      return DramCoord{0, static_cast<RankId>(rng.next_below(2)),
+                       static_cast<BankId>(rng.next_below(4)),
+                       static_cast<RowId>(rng.next_below(3) * 3000), 0};
+    };
+    for (Cycle now = 0; now < 3 * t.tREFI; ++now) {
+      if (rng.next_bool(0.3)) {
+        Request r = read_req((now << 6) | 1);
+        r.coord = coord();
+        if (rng.next_bool(0.3)) r.type = ReqType::kWrite;
+        if (c->can_accept(r.type)) c->enqueue(r, now);
+      }
+      if (now % t.tREFI == t.tREFI - 2) {
+        // A prefetch burst just before the refresh: REF drops what is
+        // still queued for its rank.
+        for (int i = 0; i < 16; ++i) {
+          Request p = read_req((now << 6) | (i << 1));
+          p.type = ReqType::kPrefetch;
+          p.coord = coord();
+          c->enqueue_prefetch(p, now);
+        }
+      }
+      c->tick(now);
+      c->drain_completed();
+      if (rng.next_bool(0.02)) {
+        const auto rank = static_cast<RankId>(rng.next_below(2));
+        c->complete_matching_reads(
+            rank, [now](const Request& r) -> std::optional<Cycle> {
+              if ((r.line_addr >> 6) % 2 == 0) return std::nullopt;
+              return now + 1;
+            });
+        checker.on_tick_end(*c, now);
+      }
+      if (now == t.tREFI + 100) {
+        snap::Writer w;
+        w.field(*c);
+        const std::string bytes = w.take();
+        auto restored = std::make_unique<Controller>(0, t, org, cfg, &reg);
+        snap::Reader r(bytes);
+        r.field(*restored);
+        ASSERT_TRUE(r.ok() && r.at_end());
+        c = std::move(restored);
+        c->set_auditor(&checker);
+        checker.on_tick_end(*c, now);
+      }
+    }
+    EXPECT_TRUE(checker.ok()) << checker.summary();
+    const dram::ChannelEvents& ev = c->channel().events();
+    EXPECT_GT(ev.activates, 0u);
+    EXPECT_GT(ev.precharges, 0u);
+    EXPECT_GT(reg.counter_value("mem.sram_serviced"), 0u);
+    EXPECT_GT(reg.counter_value("rop.prefetch_issued"), 0u);
+    if (policy == RefreshPolicy::kAutoRefresh) {
+      EXPECT_GT(reg.counter_value("rop.prefetch_dropped"), 0u);
+    }
+    EXPECT_GT(reg.counter_value("mem.refreshes") +
+                  reg.counter_value("mem.bank_refreshes"),
+              0u);
+  }
 }
 
 }  // namespace

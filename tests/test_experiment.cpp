@@ -224,6 +224,22 @@ TEST(ExperimentSpecTest, SpecErrorRules) {
       {"every without out",
        lbm([](ExperimentSpec& s) { s.snapshot.every = 5'000; }),
        "snapshot.out"},
+      {"ROP without buffer lines",
+       lbm([](ExperimentSpec& s) { s.rop.buffer_lines = 0; }),
+       "rop.buffer_lines"},
+      {"ROP without a window",
+       lbm([](ExperimentSpec& s) { s.rop.window_multiple = 0; }),
+       "rop.window_multiple"},
+      {"ROP without training",
+       lbm([](ExperimentSpec& s) { s.rop.training_refreshes = 0; }),
+       "rop.training_refreshes"},
+      {"zero ROP fields outside ROP mode", lbm([](ExperimentSpec& s) {
+         s.mode = MemoryMode::kBaseline;
+         s.rop.buffer_lines = 0;
+         s.rop.window_multiple = 0;
+         s.rop.training_refreshes = 0;
+       }),
+       nullptr},
   };
   for (const Case& c : cases) {
     const std::string err = spec_error(c.spec);

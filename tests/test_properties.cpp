@@ -3,8 +3,11 @@
 // conservation, request conservation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -290,6 +293,79 @@ std::string scheduler_case_name(
   return std::to_string(subarrays) + "sub_" + std::to_string(ranks) + "rank";
 }
 
+/// Rows cluster on three per subarray; one in three lands in a subarray
+/// still locked by its refresh at `c`, if the bank has one.
+RowId random_row(Rng& rng, const dram::Bank& bank, Cycle c) {
+  auto sub = static_cast<std::uint32_t>(rng.next_below(bank.subarrays()));
+  if (const auto locked = bank.refreshing_subarray(c);
+      locked && rng.next_bool(1.0 / 3)) {
+    sub = *locked;
+  }
+  return bank.subarray_row(sub) + static_cast<RowId>(rng.next_below(3));
+}
+
+/// Tick `ch` through cycles [from, to], issuing a random legal command on
+/// about 40% of them: open rows, recovery windows, tFAW slots, bus
+/// turnarounds, whole-rank, whole-bank and subarray refreshes. Returns the
+/// ACTs and PREs issued, the commands that move open rows.
+std::vector<dram::Command> random_history(Rng& rng, dram::Channel& ch,
+                                          const dram::DramOrganization& org,
+                                          Cycle from, Cycle to) {
+  constexpr dram::CmdType kHistory[] = {
+      dram::CmdType::kActivate,    dram::CmdType::kActivate,
+      dram::CmdType::kPrecharge,   dram::CmdType::kRead,
+      dram::CmdType::kWrite,       dram::CmdType::kRefreshBank,
+      dram::CmdType::kRefreshBank, dram::CmdType::kRefresh};
+  std::vector<dram::Command> row_moves;
+  for (Cycle c = from; c <= to; ++c) {
+    ch.tick(c);
+    if (!rng.next_bool(0.4)) continue;
+    const auto r = static_cast<RankId>(rng.next_below(org.ranks));
+    const auto b = static_cast<BankId>(rng.next_below(org.banks));
+    const dram::Bank& bank = ch.rank(r).bank(b);
+    const dram::CmdType type = kHistory[rng.next_below(std::size(kHistory))];
+    // Whole-rank REF is rare, and only in whole-bank geometry: no policy
+    // mixes it with subarray refresh (RankRefreshTest pins that rule).
+    if (type == dram::CmdType::kRefresh &&
+        (org.subarrays > 1 || !rng.next_bool(0.2))) {
+      continue;
+    }
+    const bool column =
+        type == dram::CmdType::kRead || type == dram::CmdType::kWrite;
+    const RowId row = column && bank.open_row() ? *bank.open_row()
+                                                : random_row(rng, bank, c);
+    const dram::Command cmd{type, DramCoord{0, r, b, row, 0}, 0};
+    if (!ch.can_issue(cmd, c)) continue;
+    ch.issue(cmd, c);
+    if (type == dram::CmdType::kActivate ||
+        type == dram::CmdType::kPrecharge) {
+      row_moves.push_back(cmd);
+    }
+  }
+  return row_moves;
+}
+
+/// A random request of queue `k` (0 read, 1 write, 2 prefetch) that hits
+/// its bank's open row 40% of the time when one is open.
+mem::Request random_request(Rng& rng, const dram::Channel& ch,
+                            const dram::DramOrganization& org, int k,
+                            RequestId id, Cycle now) {
+  constexpr mem::ReqType kKinds[3] = {mem::ReqType::kRead,
+                                      mem::ReqType::kWrite,
+                                      mem::ReqType::kPrefetch};
+  mem::Request req;
+  req.id = id;
+  req.type = kKinds[k];
+  const auto r = static_cast<RankId>(rng.next_below(org.ranks));
+  const auto b = static_cast<BankId>(rng.next_below(org.banks));
+  const dram::Bank& bank = ch.rank(r).bank(b);
+  const RowId row = bank.open_row() && rng.next_bool(0.4)
+                        ? *bank.open_row()
+                        : random_row(rng, bank, now);
+  req.coord = DramCoord{0, r, b, row, 0};
+  return req;
+}
+
 class SchedulerBoundProperty
     : public ::testing::TestWithParam<SchedulerParams> {};
 
@@ -301,55 +377,16 @@ TEST_P(SchedulerBoundProperty, PickIsEmptyBeforeTheBoundAndReadyAtIt) {
   org.banks = 4;  // few banks: same-bank requests meet often
   org.subarrays = subarrays;
   const mem::Scheduler sched{mem::SchedulerConfig{}};
-  constexpr dram::CmdType kHistory[] = {
-      dram::CmdType::kActivate,    dram::CmdType::kActivate,
-      dram::CmdType::kPrecharge,   dram::CmdType::kRead,
-      dram::CmdType::kWrite,       dram::CmdType::kRefreshBank,
-      dram::CmdType::kRefreshBank, dram::CmdType::kRefresh};
   std::uint32_t waited = 0;  // trials whose bound lay beyond now + 1
 
   for (std::uint64_t trial = 0; trial < 1000; ++trial) {
     Rng rng(trial * 1000 + subarrays * 10 + ranks);
     dram::Channel ch(t, org);
-    // Rows cluster on three per subarray; one in three lands in a subarray
-    // still locked by its refresh, if the bank has one.
-    const auto random_row = [&rng](const dram::Bank& bank, Cycle c) {
-      auto sub = static_cast<std::uint32_t>(rng.next_below(bank.subarrays()));
-      if (const auto locked = bank.refreshing_subarray(c);
-          locked && rng.next_bool(1.0 / 3)) {
-        sub = *locked;
-      }
-      return bank.subarray_row(sub) + static_cast<RowId>(rng.next_below(3));
-    };
-
     const Cycle now = 20 + rng.next_below(400);
-    for (Cycle c = 0; c <= now; ++c) {
-      ch.tick(c);
-      if (!rng.next_bool(0.4)) continue;
-      const auto r = static_cast<RankId>(rng.next_below(ranks));
-      const auto b = static_cast<BankId>(rng.next_below(org.banks));
-      const dram::Bank& bank = ch.rank(r).bank(b);
-      const dram::CmdType type =
-          kHistory[rng.next_below(std::size(kHistory))];
-      // Whole-rank REF is rare, and only in whole-bank geometry: no policy
-      // mixes it with subarray refresh (RankRefreshTest pins that rule).
-      if (type == dram::CmdType::kRefresh &&
-          (subarrays > 1 || !rng.next_bool(0.2))) {
-        continue;
-      }
-      const bool column =
-          type == dram::CmdType::kRead || type == dram::CmdType::kWrite;
-      const RowId row = column && bank.open_row() ? *bank.open_row()
-                                                  : random_row(bank, c);
-      const dram::Command cmd{type, DramCoord{0, r, b, row, 0}, 0};
-      if (ch.can_issue(cmd, c)) ch.issue(cmd, c);
-    }
+    random_history(rng, ch, org, 0, now);
 
     mem::RequestArena arena;
     std::vector<mem::RequestIndex> queues[3];
-    constexpr mem::ReqType kKinds[3] = {mem::ReqType::kRead,
-                                        mem::ReqType::kWrite,
-                                        mem::ReqType::kPrefetch};
     RequestId id = 1;
     for (int k = 0; k < 3; ++k) {
       // Short queues are the common case: a ready candidate elsewhere
@@ -357,31 +394,25 @@ TEST_P(SchedulerBoundProperty, PickIsEmptyBeforeTheBoundAndReadyAtIt) {
       const std::uint64_t n =
           rng.next_below(1 + rng.next_below(k == 0 ? 10 : 5));
       for (std::uint64_t i = 0; i < n; ++i) {
-        mem::Request req;
-        req.id = id++;
-        req.type = kKinds[k];
-        const auto r = static_cast<RankId>(rng.next_below(ranks));
-        const auto b = static_cast<BankId>(rng.next_below(org.banks));
-        const dram::Bank& bank = ch.rank(r).bank(b);
-        const RowId row = bank.open_row() && rng.next_bool(0.4)
-                              ? *bank.open_row()
-                              : random_row(bank, now);
-        req.coord = DramCoord{0, r, b, row, 0};
-        queues[k].push_back(arena.alloc(req));
+        queues[k].push_back(
+            arena.alloc(random_request(rng, ch, org, k, id++, now)));
       }
     }
+    std::deque<mem::QueueIndex> indices;
+    const auto view = [&](int k) {
+      indices.emplace_back(org.ranks, org.banks).assign(queues[k], arena, ch);
+      return mem::QueueView{&arena, &indices.back(), k};
+    };
     // Priority order as the controller builds it: reads then writes, or
     // writes first while draining; prefetches last.
     std::vector<mem::QueueView> views;
     const bool draining = rng.next_bool(0.3);
-    views.push_back(mem::QueueView{&arena, &queues[draining ? 1 : 0],
-                                   draining ? 1 : 0});
-    views.push_back(mem::QueueView{&arena, &queues[draining ? 0 : 1],
-                                   draining ? 0 : 1});
-    views.push_back(mem::QueueView{&arena, &queues[2], 2});
+    views.push_back(view(draining ? 1 : 0));
+    views.push_back(view(draining ? 0 : 1));
+    views.push_back(view(2));
     const std::uint64_t blocked_ranks = rng.next_below(4) == 0 ? 1 : 0;
-    const auto blocked = [blocked_ranks](const mem::Request& req, int) {
-      return ((blocked_ranks >> req.coord.rank) & 1u) != 0;
+    const auto blocked = [blocked_ranks](RankId r, int) {
+      return ((blocked_ranks >> r) & 1u) != 0;
     };
 
     const Cycle bound = sched.earliest_issue_cycle(views, ch, now, blocked);
@@ -403,6 +434,230 @@ TEST_P(SchedulerBoundProperty, PickIsEmptyBeforeTheBoundAndReadyAtIt) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Geometries, SchedulerBoundProperty,
+                         ::testing::Combine(::testing::Values(1u, 8u),
+                                            ::testing::Values(1u, 2u)),
+                         scheduler_case_name);
+
+// --- Reference FR-FCFS oracle: the indexed scheduler against an index-free,
+// memo-free pick and bound written straight from the FR-FCFS rule over the
+// flat queues. Each trial drives a channel through a random history and
+// runs a random sequence of enqueues, removals (SRAM-buffer service and
+// prefetch drops take requests from the middle of a queue) and scheduled
+// issues, keeping the per-bank indices up to date the way the controller
+// does, and holds every pick and bound to the oracle's under random views
+// (drain and no-drain order, writes in or out of the view) and random
+// (rank, queue) block masks.
+
+/// One queue as the oracle sees it: its requests, oldest first.
+struct FlatQueue {
+  const std::vector<mem::RequestIndex>* requests;
+  int id;
+};
+
+/// The earliest issue cycle of request `req`'s candidate command under the
+/// FR-FCFS rule, and the command: the column command on an open-row hit;
+/// an ACT on a precharged or refreshing bank (a refreshing bank's no
+/// earlier than `now + 1`); a PRE on a row conflict, never issuable while
+/// any request in `queues`, blocked or not, hits the open row.
+std::pair<dram::Command, Cycle> reference_candidate(
+    std::span<const FlatQueue> queues, const mem::RequestArena& arena,
+    const dram::Channel& ch, Cycle now, const mem::Request& req) {
+  const dram::Bank& bank = ch.rank(req.coord.rank).bank(req.coord.bank);
+  if (bank.state() == dram::BankState::kActive) {
+    if (*bank.open_row() == req.coord.row) {
+      const dram::Command col{req.type == mem::ReqType::kWrite
+                                  ? dram::CmdType::kWrite
+                                  : dram::CmdType::kRead,
+                              req.coord, req.id};
+      return {col, ch.earliest_issue(col)};
+    }
+    const dram::Command pre{dram::CmdType::kPrecharge, req.coord, 0};
+    for (const FlatQueue& q : queues) {
+      for (const mem::RequestIndex idx : *q.requests) {
+        const DramCoord& c = arena[idx].coord;
+        if (c.rank == req.coord.rank && c.bank == req.coord.bank &&
+            c.row == *bank.open_row()) {
+          return {pre, kNeverCycle};
+        }
+      }
+    }
+    return {pre, ch.earliest_issue(pre)};
+  }
+  const dram::Command act{dram::CmdType::kActivate, req.coord, req.id};
+  Cycle when = ch.earliest_issue(act);
+  if (bank.state() == dram::BankState::kRefreshing) {
+    when = std::max(when, now + 1);
+  }
+  return {act, when};
+}
+
+/// The first ready column command in (queue, age) order; failing that, the
+/// first ready candidate of any kind.
+template <typename Blocked>
+std::optional<mem::SchedulerPick> reference_pick(
+    std::span<const FlatQueue> queues, const mem::RequestArena& arena,
+    const dram::Channel& ch, Cycle now, const Blocked& blocked) {
+  for (const bool columns_only : {true, false}) {
+    for (const FlatQueue& q : queues) {
+      for (const mem::RequestIndex idx : *q.requests) {
+        const mem::Request& req = arena[idx];
+        if (blocked(req.coord.rank, q.id)) continue;
+        const auto [cmd, when] =
+            reference_candidate(queues, arena, ch, now, req);
+        if (columns_only && !cmd.is_column()) continue;
+        if (when <= now) return mem::SchedulerPick{cmd, q.id, idx};
+      }
+    }
+  }
+  return std::nullopt;
+}
+
+/// The minimum over every unblocked candidate of its earliest issue cycle,
+/// clamped to `now + 1`.
+template <typename Blocked>
+Cycle reference_bound(std::span<const FlatQueue> queues,
+                      const mem::RequestArena& arena, const dram::Channel& ch,
+                      Cycle now, const Blocked& blocked) {
+  Cycle best = kNeverCycle;
+  for (const FlatQueue& q : queues) {
+    for (const mem::RequestIndex idx : *q.requests) {
+      const mem::Request& req = arena[idx];
+      if (blocked(req.coord.rank, q.id)) continue;
+      const Cycle when =
+          reference_candidate(queues, arena, ch, now, req).second;
+      best = std::min(best, std::max(when, now + 1));
+    }
+  }
+  return best;
+}
+
+class SchedulerOracleProperty
+    : public ::testing::TestWithParam<SchedulerParams> {};
+
+TEST_P(SchedulerOracleProperty, IndexedPickAndBoundMatchTheReference) {
+  const auto [subarrays, ranks] = GetParam();
+  const dram::DramTimings t = dram::make_ddr4_1600_timings();
+  dram::DramOrganization org;
+  org.ranks = ranks;
+  org.banks = 4;
+  org.subarrays = subarrays;
+  const mem::Scheduler sched{mem::SchedulerConfig{}};
+  std::uint64_t picks = 0;
+  std::uint64_t kinds[6] = {};  // picks per command type
+
+  for (std::uint64_t trial = 0; trial < 400; ++trial) {
+    Rng rng(trial * 7919 + subarrays * 10 + ranks);
+    dram::Channel ch(t, org);
+    Cycle now = 20 + rng.next_below(200);
+    random_history(rng, ch, org, 0, now);
+
+    mem::RequestArena arena;
+    std::vector<mem::RequestIndex> queues[3];
+    std::vector<mem::QueueIndex> indices(3, mem::QueueIndex(ranks, org.banks));
+    const auto hits = [&ch](const DramCoord& c) {
+      return ch.rank(c.rank).bank(c.bank).open_row() == c.row;
+    };
+    const auto remove = [&](int k, std::size_t at) {
+      const mem::RequestIndex idx = queues[k][at];
+      indices[k].erase(idx, arena[idx].coord, hits(arena[idx].coord));
+      queues[k].erase(queues[k].begin() + static_cast<std::ptrdiff_t>(at));
+      arena.release(idx);
+    };
+    const auto moved_row = [&](const dram::Command& cmd) {
+      const auto open = ch.rank(cmd.coord.rank).bank(cmd.coord.bank).open_row();
+      for (mem::QueueIndex& index : indices) {
+        index.set_open_row(cmd.coord.rank, cmd.coord.bank, open);
+      }
+    };
+    RequestId id = 1;
+
+    for (int step = 0; step < 60; ++step) {
+      const std::uint64_t action = rng.next_below(10);
+      if (action < 4) {  // enqueue
+        const auto k = static_cast<int>(rng.next_below(3));
+        if (queues[k].size() >= 12) continue;
+        const mem::Request req = random_request(rng, ch, org, k, id++, now);
+        const mem::RequestIndex idx = arena.alloc(req);
+        queues[k].push_back(idx);
+        indices[k].push(idx, req.coord, hits(req.coord));
+        continue;
+      }
+      if (action == 4) {  // removal from the middle of a queue
+        const auto k = static_cast<int>(rng.next_below(3));
+        if (!queues[k].empty()) remove(k, rng.next_below(queues[k].size()));
+        continue;
+      }
+      if (action == 5) {  // time passes, other commands land
+        const Cycle to = now + 1 + rng.next_below(30);
+        for (const dram::Command& cmd :
+             random_history(rng, ch, org, now + 1, to)) {
+          moved_row(cmd);
+        }
+        now = to;
+        continue;
+      }
+      // Schedule: compare with the oracle, then issue its pick.
+      const bool draining = rng.next_bool(0.4);
+      std::vector<int> order;
+      if (draining) {
+        order = {1, 0, 2};
+      } else {
+        order = {0};
+        if (rng.next_bool(0.5)) order.push_back(1);
+        order.push_back(2);
+      }
+      std::vector<mem::QueueView> views;
+      std::vector<FlatQueue> flat;
+      for (const int k : order) {
+        views.push_back(mem::QueueView{&arena, &indices[k], k});
+        flat.push_back(FlatQueue{&queues[k], k});
+      }
+      const std::uint64_t mask =
+          rng.next_bool(0.5) ? rng.next_below(std::uint64_t{1} << (3 * ranks))
+                             : 0;
+      const auto blocked = [mask, ranks](RankId r, int k) {
+        return ((mask >> (static_cast<std::uint32_t>(k) * ranks + r)) & 1u) !=
+               0;
+      };
+      const std::string where = "trial " + std::to_string(trial) + " step " +
+                                std::to_string(step) + " at " +
+                                std::to_string(now);
+      ASSERT_EQ(sched.earliest_issue_cycle(views, ch, now, blocked),
+                reference_bound(flat, arena, ch, now, blocked))
+          << where;
+      const auto want = reference_pick(flat, arena, ch, now, blocked);
+      const auto got = sched.pick(views, ch, now, blocked);
+      ASSERT_EQ(got.has_value(), want.has_value()) << where;
+      if (!want) continue;
+      ASSERT_EQ(got->cmd.type, want->cmd.type) << where;
+      ASSERT_EQ(got->cmd.coord, want->cmd.coord) << where;
+      ASSERT_EQ(got->cmd.request, want->cmd.request) << where;
+      ASSERT_EQ(got->queue_id, want->queue_id) << where;
+      ASSERT_EQ(got->request, want->request) << where;
+      ASSERT_TRUE(ch.can_issue(want->cmd, now)) << where;
+      ch.issue(want->cmd, now);
+      ch.tick(++now);  // one command per cycle
+      ++picks;
+      ++kinds[static_cast<std::size_t>(want->cmd.type)];
+      if (want->cmd.is_column()) {
+        const auto& q = queues[want->queue_id];
+        remove(want->queue_id, static_cast<std::size_t>(
+                                   std::ranges::find(q, want->request) -
+                                   q.begin()));
+      } else {
+        moved_row(want->cmd);
+      }
+    }
+  }
+  // Every kind of pick was exercised.
+  EXPECT_GT(picks, 1000u);
+  EXPECT_GT(kinds[static_cast<std::size_t>(dram::CmdType::kActivate)], 0u);
+  EXPECT_GT(kinds[static_cast<std::size_t>(dram::CmdType::kPrecharge)], 0u);
+  EXPECT_GT(kinds[static_cast<std::size_t>(dram::CmdType::kRead)], 0u);
+  EXPECT_GT(kinds[static_cast<std::size_t>(dram::CmdType::kWrite)], 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Geometries, SchedulerOracleProperty,
                          ::testing::Combine(::testing::Values(1u, 8u),
                                             ::testing::Values(1u, 2u)),
                          scheduler_case_name);

@@ -1,6 +1,7 @@
-// FR-FCFS scheduler tests (arena-backed queues).
+// FR-FCFS scheduler tests (arena-backed queues, indexed by bank).
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <vector>
 
 #include "mem/scheduler.h"
@@ -28,23 +29,28 @@ class SchedulerTest : public ::testing::Test {
     q.push_back(arena.alloc(r));
   }
 
-  [[nodiscard]] QueueView view(const std::vector<RequestIndex>& q,
-                               int id) const {
-    return QueueView{&arena, &q, id};
+  /// A scheduler view of `q`, indexed over the channel's current open
+  /// rows.
+  [[nodiscard]] QueueView view(const std::vector<RequestIndex>& q, int id,
+                               const dram::Channel& ch) {
+    QueueIndex& index = indices.emplace_back(org.ranks, org.banks);
+    index.assign(q, arena, ch);
+    return QueueView{&arena, &index, id};
   }
 
-  static bool never_blocked(const Request&, int) { return false; }
+  static bool never_blocked(RankId, int) { return false; }
 
   dram::DramTimings t;
   dram::DramOrganization org;
   RequestArena arena;
+  std::deque<QueueIndex> indices;  // stable addresses for the views
   Scheduler sched{SchedulerConfig{}};
 };
 
 TEST_F(SchedulerTest, EmptyQueuesPickNothing) {
   dram::Channel ch(t, org);
   std::vector<RequestIndex> reads;
-  QueueView views[] = {view(reads, 0)};
+  QueueView views[] = {view(reads, 0, ch)};
   EXPECT_FALSE(sched.pick(views, ch, 0, never_blocked).has_value());
   EXPECT_EQ(sched.earliest_issue_cycle(views, ch, 0, never_blocked),
             kNeverCycle);
@@ -54,7 +60,7 @@ TEST_F(SchedulerTest, ClosedBankGetsActivate) {
   dram::Channel ch(t, org);
   std::vector<RequestIndex> reads;
   add(reads, 1, ReqType::kRead, 0, 0, 42);
-  QueueView views[] = {view(reads, 0)};
+  QueueView views[] = {view(reads, 0, ch)};
   const auto pick = sched.pick(views, ch, 0, never_blocked);
   ASSERT_TRUE(pick.has_value());
   EXPECT_EQ(pick->cmd.type, dram::CmdType::kActivate);
@@ -70,13 +76,13 @@ TEST_F(SchedulerTest, RowHitBeatsOlderRowMiss) {
   std::vector<RequestIndex> reads;
   add(reads, 1, ReqType::kRead, 0, 0, 9, 0, 0);
   add(reads, 2, ReqType::kRead, 0, 0, 7, 3, 1);
-  QueueView views[] = {view(reads, 0)};
+  QueueView views[] = {view(reads, 0, ch)};
   const auto pick = sched.pick(views, ch, t.tRCD, never_blocked);
   ASSERT_TRUE(pick.has_value());
   EXPECT_EQ(pick->cmd.type, dram::CmdType::kRead);
   EXPECT_EQ(pick->cmd.request, 2u);
   EXPECT_TRUE(pick->services_request());
-  EXPECT_EQ(pick->request_index, 1u);
+  EXPECT_EQ(pick->request, reads[1]);
 }
 
 TEST_F(SchedulerTest, RowConflictPrechargesWhenNoTakerRemains) {
@@ -85,7 +91,7 @@ TEST_F(SchedulerTest, RowConflictPrechargesWhenNoTakerRemains) {
            0);
   std::vector<RequestIndex> reads;
   add(reads, 1, ReqType::kRead, 0, 0, 9);
-  QueueView views[] = {view(reads, 0)};
+  QueueView views[] = {view(reads, 0, ch)};
   const auto pick = sched.pick(views, ch, t.tRAS, never_blocked);
   ASSERT_TRUE(pick.has_value());
   EXPECT_EQ(pick->cmd.type, dram::CmdType::kPrecharge);
@@ -102,7 +108,7 @@ TEST_F(SchedulerTest, OpenRowKeptWhileYoungerRequestStillHitsIt) {
   std::vector<RequestIndex> reads;
   add(reads, 1, ReqType::kRead, 0, 0, 9);
   add(reads, 2, ReqType::kRead, 0, 0, 7);
-  QueueView views[] = {view(reads, 0)};
+  QueueView views[] = {view(reads, 0, ch)};
   const auto pick = sched.pick(views, ch, t.tRAS, never_blocked);
   ASSERT_TRUE(pick.has_value());
   EXPECT_EQ(pick->cmd.type, dram::CmdType::kRead);
@@ -118,12 +124,12 @@ TEST_F(SchedulerTest, QueuePriorityOrderRespected) {
   add(reads, 1, ReqType::kRead, 0, 0, 7);
   add(prefetches, 2, ReqType::kPrefetch, 0, 0, 7);
   // Both row-hit; the first view wins.
-  QueueView views_rp[] = {view(reads, 0), view(prefetches, 2)};
+  QueueView views_rp[] = {view(reads, 0, ch), view(prefetches, 2, ch)};
   auto pick = sched.pick(views_rp, ch, t.tRCD, never_blocked);
   ASSERT_TRUE(pick.has_value());
   EXPECT_EQ(pick->cmd.request, 1u);
 
-  QueueView views_pr[] = {view(prefetches, 2), view(reads, 0)};
+  QueueView views_pr[] = {view(prefetches, 2, ch), view(reads, 0, ch)};
   pick = sched.pick(views_pr, ch, t.tRCD, never_blocked);
   ASSERT_TRUE(pick.has_value());
   EXPECT_EQ(pick->cmd.request, 2u);
@@ -134,17 +140,15 @@ TEST_F(SchedulerTest, BlockedPredicateMasksRequests) {
   std::vector<RequestIndex> reads;
   add(reads, 1, ReqType::kRead, 0, 0, 42);
   add(reads, 2, ReqType::kRead, 1, 0, 42);
-  QueueView views[] = {view(reads, 0)};
-  const auto rank0_blocked = [](const Request& r, int) {
-    return r.coord.rank == 0;
-  };
+  QueueView views[] = {view(reads, 0, ch)};
+  const auto rank0_blocked = [](RankId r, int) { return r == 0; };
   const auto pick = sched.pick(views, ch, 0, rank0_blocked);
   ASSERT_TRUE(pick.has_value());
   EXPECT_EQ(pick->cmd.coord.rank, 1u);
 
   // With every request masked nothing can ever issue: the unblock point is
   // a separate controller event, so the scan reports "never".
-  const auto all_blocked = [](const Request&, int) { return true; };
+  const auto all_blocked = [](RankId, int) { return true; };
   EXPECT_EQ(sched.earliest_issue_cycle(views, ch, 0, all_blocked),
             kNeverCycle);
 }
@@ -155,7 +159,7 @@ TEST_F(SchedulerTest, WriteGetsWriteCommand) {
            0);
   std::vector<RequestIndex> writes;
   add(writes, 9, ReqType::kWrite, 0, 2, 5);
-  QueueView views[] = {view(writes, 1)};
+  QueueView views[] = {view(writes, 1, ch)};
   const auto pick = sched.pick(views, ch, t.tRCD, never_blocked);
   ASSERT_TRUE(pick.has_value());
   EXPECT_EQ(pick->cmd.type, dram::CmdType::kWrite);
@@ -177,7 +181,7 @@ TEST_F(SchedulerTest, ActMemoRespectsSubarrays) {
   std::vector<RequestIndex> reads;
   add(reads, 1, ReqType::kRead, 0, 0, sub0_row);  // older: locked subarray
   add(reads, 2, ReqType::kRead, 0, 0, sub3_row);  // younger: free subarray
-  QueueView views[] = {view(reads, 0)};
+  QueueView views[] = {view(reads, 0, ch)};
   const dram::Command act3{dram::CmdType::kActivate,
                            DramCoord{0, 0, 0, sub3_row, 0}, 2};
   ASSERT_TRUE(ch.can_issue(act3, 105));
@@ -198,7 +202,7 @@ TEST_F(SchedulerTest, EarliestIssueClampsReadyCandidateToNextTick) {
   dram::Channel ch(t, org);
   std::vector<RequestIndex> reads;
   add(reads, 1, ReqType::kRead, 0, 0, 42);
-  QueueView views[] = {view(reads, 0)};
+  QueueView views[] = {view(reads, 0, ch)};
   // The ACT is issuable immediately; on frozen state the next tick that can
   // act is now + 1.
   EXPECT_EQ(sched.earliest_issue_cycle(views, ch, 5, never_blocked), 6u);
@@ -210,7 +214,7 @@ TEST_F(SchedulerTest, EarliestIssueMatchesFirstPickForRowHit) {
            0);
   std::vector<RequestIndex> reads;
   add(reads, 1, ReqType::kRead, 0, 0, 7);
-  QueueView views[] = {view(reads, 0)};
+  QueueView views[] = {view(reads, 0, ch)};
   const Cycle when = sched.earliest_issue_cycle(views, ch, 0, never_blocked);
   EXPECT_EQ(when, Cycle{t.tRCD});
   for (Cycle c = 1; c < when; ++c) {
@@ -231,7 +235,7 @@ TEST_F(SchedulerTest, EarliestIssueMatchesFirstPickForPrecharge) {
   // tRAS expiry.
   std::vector<RequestIndex> reads;
   add(reads, 1, ReqType::kRead, 0, 0, 9);
-  QueueView views[] = {view(reads, 0)};
+  QueueView views[] = {view(reads, 0, ch)};
   const Cycle when = sched.earliest_issue_cycle(views, ch, 0, never_blocked);
   EXPECT_EQ(when, Cycle{t.tRAS});
   for (Cycle c = 1; c < when; ++c) {
@@ -252,7 +256,7 @@ TEST_F(SchedulerTest, EarliestIssueSuppressesPrechargeWhileTakerRemains) {
   std::vector<RequestIndex> reads;
   add(reads, 1, ReqType::kRead, 0, 0, 9);
   add(reads, 2, ReqType::kRead, 0, 0, 7);
-  QueueView views[] = {view(reads, 0)};
+  QueueView views[] = {view(reads, 0, ch)};
   const Cycle when = sched.earliest_issue_cycle(views, ch, 0, never_blocked);
   EXPECT_EQ(when, Cycle{t.tRCD});
   const auto pick = sched.pick(views, ch, when, never_blocked);

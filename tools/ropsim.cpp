@@ -717,7 +717,15 @@ int main(int argc, char** argv) {
   // --compare ignores --mode and runs every mode of this one spec.
   const sim::ExperimentSpec spec = spec_from_options(
       opt, opt.compare ? sim::MemoryMode::kBaseline : parse_mode(opt.mode));
-  if (const std::string err = sim::spec_error(spec); !err.empty()) {
+  // --compare runs every mode, so every mode's rules apply.
+  std::string err = sim::spec_error(spec);
+  sim::ExperimentSpec each = spec;
+  for (const sim::MemoryMode mode : sim::kAllMemoryModes) {
+    if (!err.empty() || !opt.compare) break;
+    each.mode = mode;
+    err = sim::spec_error(each);
+  }
+  if (!err.empty()) {
     std::fprintf(stderr, "ropsim: %s\n", err.c_str());
     return 2;
   }
