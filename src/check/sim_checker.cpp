@@ -79,14 +79,7 @@ void SimChecker::on_retired(const mem::Request& req) {
 
 void SimChecker::check_queue_counters(const mem::Controller& c, Cycle now) {
   const std::uint32_t ranks = c.channel().num_ranks();
-  std::vector<std::uint32_t> reads(ranks, 0);
-  std::vector<std::uint32_t> writes(ranks, 0);
-  std::vector<std::uint32_t> queued_pf(ranks, 0);
   std::vector<std::uint32_t> inflight_pf(ranks, 0);
-
-  for (const auto& r : c.read_queue()) ++reads.at(r.coord.rank);
-  for (const auto& r : c.write_queue()) ++writes.at(r.coord.rank);
-  for (const auto& r : c.prefetch_queue()) ++queued_pf.at(r.coord.rank);
   for (const auto& r : c.in_flight()) {
     if (r.type == mem::ReqType::kPrefetch) ++inflight_pf.at(r.coord.rank);
     // Bursts with completion <= now were drained at the top of this tick;
@@ -108,15 +101,6 @@ void SimChecker::check_queue_counters(const mem::Controller& c, Cycle now) {
     violate(os.str());
   };
   for (RankId r = 0; r < ranks; ++r) {
-    if (c.pending_reads(r) != reads[r]) {
-      mismatch("pending_reads", r, c.pending_reads(r), reads[r]);
-    }
-    if (c.pending_writes(r) != writes[r]) {
-      mismatch("pending_writes", r, c.pending_writes(r), writes[r]);
-    }
-    if (c.queued_prefetches(r) != queued_pf[r]) {
-      mismatch("queued_prefetches", r, c.queued_prefetches(r), queued_pf[r]);
-    }
     if (c.inflight_prefetches(r) != inflight_pf[r]) {
       mismatch("inflight_prefetches", r, c.inflight_prefetches(r),
                inflight_pf[r]);
@@ -257,10 +241,16 @@ void SimChecker::check_queue_index(const mem::Controller& c, Cycle now) {
                                      c.prefetch_queue()};
   for (int q = 0; q < 3; ++q) {
     const mem::RequestView& queue = queues[q];
-    const mem::QueueIndex& index = c.queue_index(q);
-    if (index.size() != queue.size()) {
-      fail(q, "index holds " + std::to_string(index.size()) +
-                  " requests, queue " + std::to_string(queue.size()));
+    const mem::RequestQueue& index = c.request_queue(q);
+    // Each rank's size must equal a recount of the order.
+    std::vector<std::uint32_t> per_rank(ch.num_ranks(), 0);
+    for (const mem::Request& req : queue) ++per_rank.at(req.coord.rank);
+    for (RankId r = 0; r < ch.num_ranks(); ++r) {
+      if (index.rank_size(r) != per_rank[r]) {
+        fail(q, "rank " + std::to_string(r) + " size " +
+                    std::to_string(index.rank_size(r)) + " != queue count " +
+                    std::to_string(per_rank[r]));
+      }
     }
     // Walking the queue oldest first must meet each bank's entries in
     // order, with ages rising across banks.
@@ -303,7 +293,7 @@ void SimChecker::check_queue_index(const mem::Controller& c, Cycle now) {
           ch.rank(static_cast<RankId>(slot / index.banks()))
               .bank(static_cast<BankId>(slot % index.banks()));
       const auto hits = static_cast<std::uint32_t>(std::ranges::count_if(
-          index.bank(slot), [&bank](const mem::QueueIndex::Entry& e) {
+          index.bank(slot), [&bank](const mem::RequestQueue::Entry& e) {
             return bank.open_row() == e.row;
           }));
       if (index.open_row_hits(slot) != hits) {

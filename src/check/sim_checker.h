@@ -1,20 +1,21 @@
 // SimChecker: machine-checked simulator invariants (opt-in).
 //
-// PR 1 made the controller hot paths rely on incrementally-maintained
-// bookkeeping (per-rank pending counters, the write_index_ line set, SRAM
-// buffer coherence, refresh postponement accounting). The checker recomputes
-// each of those from the ground-truth structures and cross-checks the stat
-// counters for request conservation, so any future fast-path change that
-// drifts from the slow-path definition fails loudly in debug/CI runs
-// instead of silently skewing results.
+// The controller hot paths rely on incrementally-maintained bookkeeping
+// (each request queue's per-bank index and per-rank sizes, the write_index_
+// line set, SRAM buffer coherence, refresh postponement accounting). The
+// checker recomputes each of those from the ground-truth structures and
+// cross-checks the stat counters for request conservation, so any future
+// fast-path change that drifts from the slow-path definition fails loudly
+// in debug/CI runs instead of silently skewing results.
 //
 // Invariant families (docs/CORRECTNESS.md has the full catalogue):
-//  (a) counter/index consistency — pending_reads_/pending_writes_/
-//      queued_prefetches_/inflight_prefetches_ equal a fresh count of the
-//      queues, write_index_ is exactly the set of queued write lines, and
-//      each queue's per-bank scheduler index lists exactly the queue's
-//      requests, bank by bank in queue order, marks exactly the banks that
-//      have some, and counts each bank's open-row hits right;
+//  (a) counter/index consistency — the queue audit: each request queue's
+//      per-rank sizes equal a recount of its order, and its per-bank index
+//      lists exactly the queued requests, bank by bank in queue order,
+//      marks exactly the banks that have some, and counts each bank's
+//      open-row hits right; inflight_prefetches_ and drain_pending_ equal a
+//      fresh count, and write_index_ is exactly the set of queued write
+//      lines;
 //  (b) buffer coherence — the SRAM buffer never holds a line with a queued
 //      newer write on its channel;
 //  (c) refresh deadlines — per-rank owed refreshes never exceed the JEDEC

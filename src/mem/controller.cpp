@@ -18,13 +18,9 @@ Controller::Controller(ChannelId id, const dram::DramTimings& timings,
       scheduler_(cfg.sched),
       blocking_(org.ranks, timings.tRFC),
       stats_(stats),
-      reads_by_rank_(org.ranks),
-      by_bank_{QueueIndex(org.ranks, org.banks),
-               QueueIndex(org.ranks, org.banks),
-               QueueIndex(org.ranks, org.banks)},
-      pending_reads_(org.ranks, 0),
-      pending_writes_(org.ranks, 0),
-      queued_prefetches_(org.ranks, 0),
+      queues_{RequestQueue(org.ranks, org.banks),
+              RequestQueue(org.ranks, org.banks),
+              RequestQueue(org.ranks, org.banks)},
       inflight_prefetches_(org.ranks, 0),
       phase_(org.ranks, RefreshPhase::kIdle),
       locked_at_(org.ranks, kNeverCycle),
@@ -35,9 +31,6 @@ Controller::Controller(ChannelId id, const dram::DramTimings& timings,
       refresh_window_opened_(org.ranks, false),
       next_refresh_bank_(org.ranks, 0),
       num_banks_(org.banks),
-      reads_by_bank_count_(static_cast<std::size_t>(org.ranks) * org.banks, 0),
-      writes_by_bank_count_(static_cast<std::size_t>(org.ranks) * org.banks,
-                            0),
       darp_round_mask_(org.ranks, 0),
       next_refresh_sub_(static_cast<std::size_t>(org.ranks) * org.banks, 0) {
   ROP_ASSERT(stats != nullptr);
@@ -153,11 +146,11 @@ void Controller::record_read_latency(const Request& req) {
 bool Controller::can_accept(ReqType type) const {
   switch (type) {
     case ReqType::kRead:
-      return read_q_.size() < cfg_.sched.read_queue_capacity;
+      return queues_[0].size() < cfg_.sched.read_queue_capacity;
     case ReqType::kWrite:
-      return write_q_.size() < cfg_.sched.write_queue_capacity;
+      return queues_[1].size() < cfg_.sched.write_queue_capacity;
     case ReqType::kPrefetch:
-      return prefetch_q_.size() < cfg_.sched.read_queue_capacity;
+      return queues_[2].size() < cfg_.sched.read_queue_capacity;
   }
   return false;
 }
@@ -206,11 +199,7 @@ bool Controller::enqueue(Request req, Cycle now) {
     }
     const RankId r = req.coord.rank;
     const RequestIndex idx = arena_.alloc(req);
-    read_q_.push_back(idx);
-    by_bank_[0].push(idx, req.coord, hits_open_row(req.coord));
-    reads_by_rank_[r].push_back(idx);
-    ++pending_reads_[r];
-    ++reads_by_bank_count_[bank_slot(r, req.coord.bank)];
+    queues_[0].push(idx, req.coord, channel_);
     // A read arriving at the lock cycle itself satisfies `arrival <= lock`
     // and the drain must wait for it too.
     if (locked_at_[r] != kNeverCycle && now <= locked_at_[r]) {
@@ -263,39 +252,26 @@ bool Controller::enqueue(Request req, Cycle now) {
       h_.write_coalesced->inc();
       return true;
     }
-    const RequestIndex idx = arena_.alloc(req);
-    write_q_.push_back(idx);
-    by_bank_[1].push(idx, req.coord, hits_open_row(req.coord));
+    queues_[1].push(arena_.alloc(req), req.coord, channel_);
     write_index_.insert(req.line_addr);
-    ++pending_writes_[req.coord.rank];
-    ++writes_by_bank_count_[bank_slot(req.coord.rank, req.coord.bank)];
   }
   return true;
 }
 
 bool Controller::enqueue_prefetch(Request req, Cycle now) {
   ROP_ASSERT(req.type == ReqType::kPrefetch);
-  if (prefetch_q_.size() >= cfg_.sched.read_queue_capacity) {
+  if (queues_[2].size() >= cfg_.sched.read_queue_capacity) {
     h_.prefetch_dropped_queue_full->inc();
     return false;
   }
   req.arrival = now;
   h_.prefetch_enqueued->inc();
-  const RequestIndex idx = arena_.alloc(req);
-  prefetch_q_.push_back(idx);
-  by_bank_[2].push(idx, req.coord, hits_open_row(req.coord));
-  ++queued_prefetches_[req.coord.rank];
+  queues_[2].push(arena_.alloc(req), req.coord, channel_);
   return true;
 }
 
-void Controller::on_read_leaves_queue(RankId r, RequestIndex idx,
-                                      const Request& req) {
-  auto& by_rank = reads_by_rank_[r];
-  const auto it = std::find(by_rank.begin(), by_rank.end(), idx);
-  ROP_ASSERT(it != by_rank.end());
-  by_rank.erase(it);
-  --pending_reads_[r];
-  --reads_by_bank_count_[bank_slot(r, req.coord.bank)];
+void Controller::on_read_leaves_queue(const Request& req) {
+  const RankId r = req.coord.rank;
   // Pre-lock reads count toward the drain the refresh is waiting on.
   if (locked_at_[r] != kNeverCycle && req.arrival <= locked_at_[r]) {
     ROP_ASSERT(drain_pending_[r] > 0);
@@ -304,31 +280,24 @@ void Controller::on_read_leaves_queue(RankId r, RequestIndex idx,
 }
 
 void Controller::drop_prefetches(RankId rank) {
-  std::size_t out = 0;
-  for (const RequestIndex idx : prefetch_q_) {
-    if (arena_[idx].coord.rank == rank) {
-      h_.prefetch_dropped->inc();
-      if (trace_ != nullptr && trace_->wants(telemetry::kCatRop)) {
-        const Request& req = arena_[idx];
-        telemetry::TraceEvent e;
-        e.ts = req.arrival;
-        e.arg = req.line_addr;
-        e.kind = telemetry::EventKind::kPrefetchDrop;
-        e.category = telemetry::kCatRop;
-        e.channel = static_cast<std::uint16_t>(id_);
-        e.rank = static_cast<std::uint16_t>(rank);
-        e.bank = static_cast<std::uint16_t>(req.coord.bank);
-        trace_->record(e);
-      }
-      --queued_prefetches_[rank];
-      by_bank_[2].erase(idx, arena_[idx].coord,
-                        hits_open_row(arena_[idx].coord));
-      arena_.release(idx);
-    } else {
-      prefetch_q_[out++] = idx;
+  queues_[2].remove_if(arena_, channel_, [this, rank](RequestIndex idx) {
+    const Request& req = arena_[idx];
+    if (req.coord.rank != rank) return false;
+    h_.prefetch_dropped->inc();
+    if (trace_ != nullptr && trace_->wants(telemetry::kCatRop)) {
+      telemetry::TraceEvent e;
+      e.ts = req.arrival;
+      e.arg = req.line_addr;
+      e.kind = telemetry::EventKind::kPrefetchDrop;
+      e.category = telemetry::kCatRop;
+      e.channel = static_cast<std::uint16_t>(id_);
+      e.rank = static_cast<std::uint16_t>(rank);
+      e.bank = static_cast<std::uint16_t>(req.coord.bank);
+      trace_->record(e);
     }
-  }
-  prefetch_q_.resize(out);
+    arena_.release(idx);
+    return true;
+  });
 }
 
 void Controller::complete_bursts(Cycle now) {
@@ -475,11 +444,7 @@ void Controller::issue_refresh(RankId r, Cycle now) {
   rm_.on_refresh_issued(r);
   blocking_.on_refresh_start(r, now);
   // Every read still queued to the rank is frozen for the full tRFC.
-  charge_refresh_blocking(pending_reads_[r], channel_.timings().tRFC);
-  for (const RequestIndex qidx : reads_by_rank_[r]) {
-    arena_[qidx].blocked_rank +=
-        static_cast<std::uint32_t>(channel_.timings().tRFC);
-  }
+  block_queued_reads(r, channel_.timings().tRFC, &Request::blocked_rank);
   h_.refreshes->inc();
   phase_[r] = RefreshPhase::kIdle;
   locked_at_[r] = kNeverCycle;
@@ -508,7 +473,7 @@ bool Controller::refresh_rank(RankId r, Cycle now, bool bus_free) {
     // Snapshot the drain target: every queued read to this rank arrived
     // strictly before `now`, so all of them predate the lock (same-cycle
     // arrivals land after this tick and bump the counter in enqueue).
-    drain_pending_[r] = pending_reads_[r];
+    drain_pending_[r] = queues_[0].rank_size(r);
   }
 
   if (phase_[r] == RefreshPhase::kDraining) {
@@ -592,10 +557,7 @@ bool Controller::refresh_pausing(RankId r, Cycle now, bool bus_free) {
     }
   }
   channel_.begin_refresh_segment(r, now, duration);
-  charge_refresh_blocking(pending_reads_[r], duration);
-  for (const RequestIndex qidx : reads_by_rank_[r]) {
-    arena_[qidx].blocked_pause += static_cast<std::uint32_t>(duration);
-  }
+  block_queued_reads(r, duration, &Request::blocked_pause);
   refresh_started_[r] = true;
   refresh_remaining_[r] -= duration;
   if (refresh_remaining_[r] == 0) {
@@ -608,11 +570,11 @@ bool Controller::refresh_pausing(RankId r, Cycle now, bool bus_free) {
 
 bool Controller::darp_bank_idle(RankId r, BankId b) const {
   const std::size_t slot = bank_slot(r, b);
-  if (reads_by_bank_count_[slot] != 0) return false;
+  if (!queues_[0].bank(slot).empty()) return false;
   // During write drain reads are off the critical path anyway: a bank with
   // only writes pending is fair game (DARP's write-refresh
   // parallelization). Outside drain mode the bank must be fully idle.
-  return draining_writes_ || writes_by_bank_count_[slot] == 0;
+  return draining_writes_ || queues_[1].bank(slot).empty();
 }
 
 BankId Controller::darp_pick_bank(RankId r, bool urgent) const {
@@ -700,10 +662,10 @@ bool Controller::refresh_bank_unit(RankId r, Cycle now) {
   } else {
     // The whole bank is locked: every read queued to it waits out tRFCpb.
     const Cycle lock = channel_.timings().tRFCpb;
-    charge_refresh_blocking(reads_by_bank_count_[bank_slot(r, b)], lock);
-    for (const RequestIndex qidx : reads_by_rank_[r]) {
-      if (arena_[qidx].coord.bank != b) continue;
-      arena_[qidx].blocked_bank += static_cast<std::uint32_t>(lock);
+    const auto reads = queues_[0].bank(bank_slot(r, b));
+    charge_refresh_blocking(reads.size(), lock);
+    for (const RequestQueue::Entry& e : reads) {
+      arena_[e.request].blocked_bank += static_cast<std::uint32_t>(lock);
     }
   }
   if (cfg_.policy == RefreshPolicy::kDarp) {
@@ -722,12 +684,10 @@ void Controller::record_subarray_refresh(RankId r, BankId b, std::uint32_t sub,
   {
     const dram::Bank& bank = channel_.rank(r).bank(b);
     std::uint64_t n = 0;
-    for (const RequestIndex idx : reads_by_rank_[r]) {
-      Request& req = arena_[idx];
-      if (req.coord.bank != b || bank.subarray_of(req.coord.row) != sub) {
-        continue;
-      }
-      req.blocked_sub += static_cast<std::uint32_t>(channel_.timings().tRFCpb);
+    for (const RequestQueue::Entry& e : queues_[0].bank(bank_slot(r, b))) {
+      if (bank.subarray_of(e.row) != sub) continue;
+      arena_[e.request].blocked_sub +=
+          static_cast<std::uint32_t>(channel_.timings().tRFCpb);
       ++n;
     }
     charge_refresh_blocking(n, channel_.timings().tRFCpb);
@@ -752,6 +712,17 @@ void Controller::charge_refresh_blocking(std::uint64_t requests,
   h_.refresh_blocked_cycles->inc(requests * cycles);
 }
 
+void Controller::block_queued_reads(RankId r, Cycle cycles,
+                                    std::uint32_t Request::*cause) {
+  const RequestQueue& reads = queues_[0];
+  charge_refresh_blocking(reads.rank_size(r), cycles);
+  for (BankId b = 0; b < num_banks_; ++b) {
+    for (const RequestQueue::Entry& e : reads.bank(bank_slot(r, b))) {
+      arena_[e.request].*cause += static_cast<std::uint32_t>(cycles);
+    }
+  }
+}
+
 Cycle Controller::issue_command(const dram::Command& cmd, Cycle now) {
   const Cycle done = channel_.issue(cmd, now);
   // Only ACT and PRE move a bank's open row (REF and REFpb need the row
@@ -761,7 +732,7 @@ Cycle Controller::issue_command(const dram::Command& cmd, Cycle now) {
     const RankId r = cmd.coord.rank;
     const BankId b = cmd.coord.bank;
     const auto open = channel_.rank(r).bank(b).open_row();
-    for (QueueIndex& index : by_bank_) index.set_open_row(r, b, open);
+    for (RequestQueue& q : queues_) q.set_open_row(r, b, open);
   }
   return done;
 }
@@ -782,20 +753,10 @@ void Controller::issue_pick(const SchedulerPick& pick, Cycle now) {
     return;
   }
 
-  std::vector<RequestIndex>& q = queue(pick.queue_id);
-  q.erase(std::ranges::find(q, idx));
-  // A column command services a row hit.
-  by_bank_[pick.queue_id].erase(idx, req.coord, true);
-  switch (pick.queue_id) {
-    case 0: on_read_leaves_queue(req.coord.rank, idx, req); break;
-    case 1:
-      --pending_writes_[req.coord.rank];
-      --writes_by_bank_count_[bank_slot(req.coord.rank, req.coord.bank)];
-      write_index_.erase(req.line_addr);
-      break;
-    case 2: --queued_prefetches_[req.coord.rank]; break;
-    default: break;
-  }
+  queues_[static_cast<std::size_t>(pick.queue_id)].erase(idx, req.coord,
+                                                         channel_);
+  if (pick.queue_id == 0) on_read_leaves_queue(req);
+  if (pick.queue_id == 1) write_index_.erase(req.line_addr);
 
   if (req.type != ReqType::kPrefetch && listener_ != nullptr) {
     listener_->on_demand_serviced(req, now);
@@ -840,8 +801,8 @@ void Controller::step(Cycle now) {
 }
 
 bool Controller::write_drain_after(bool draining) const {
-  if (write_q_.size() >= cfg_.sched.write_drain_high) draining = true;
-  if (write_q_.size() <= cfg_.sched.write_drain_low) draining = false;
+  if (queues_[1].size() >= cfg_.sched.write_drain_high) draining = true;
+  if (queues_[1].size() <= cfg_.sched.write_drain_low) draining = false;
   return draining;
 }
 
@@ -873,25 +834,17 @@ Controller::SchedulerView Controller::scheduler_view(bool draining,
   auto& v = view.views;
   std::size_t& n = view.n_views;
   const auto add = [this, &v, &n](int id) {
-    v[n++] = QueueView{&arena_, &queue_index(id), id};
+    v[n++] = QueueView{&arena_, &request_queue(id), id};
   };
   if (draining) {
     add(1);
     add(0);
   } else {
     add(0);
-    if (read_q_.empty()) add(1);
+    if (queues_[0].empty()) add(1);
   }
   add(2);
   return view;
-}
-
-std::vector<RequestIndex>& Controller::queue(int queue_id) {
-  switch (queue_id) {
-    case 0: return read_q_;
-    case 1: return write_q_;
-    default: ROP_ASSERT(queue_id == 2); return prefetch_q_;
-  }
 }
 
 std::vector<Request> Controller::drain_completed() {
@@ -913,29 +866,15 @@ std::vector<Request> Controller::drain_completed() {
 void Controller::complete_matching_reads(
     RankId rank,
     const std::function<std::optional<Cycle>(const Request&)>& probe) {
-  // The per-rank index walks exactly the candidates (in age order, which
-  // matches read-queue order for one rank) instead of rescanning the whole
-  // read queue per probe.
-  auto& by_rank = reads_by_rank_[rank];
+  // One pass over the read queue, oldest first: the probe sees the rank's
+  // reads, and the serviced ones complete, in age order.
   const dram::Rank& rk = channel_.rank(rank);
-  std::size_t out = 0;
-  for (const RequestIndex idx : by_rank) {
+  queues_[0].remove_if(arena_, channel_, [&](RequestIndex idx) {
     Request& req = arena_[idx];
+    if (req.coord.rank != rank) return false;
     const auto done = probe(req);
-    if (!done) {
-      by_rank[out++] = idx;
-      continue;
-    }
-    const auto it = std::find(read_q_.begin(), read_q_.end(), idx);
-    ROP_ASSERT(it != read_q_.end());
-    read_q_.erase(it);
-    by_bank_[0].erase(idx, req.coord, hits_open_row(req.coord));
-    --pending_reads_[rank];
-    --reads_by_bank_count_[bank_slot(rank, req.coord.bank)];
-    if (locked_at_[rank] != kNeverCycle && req.arrival <= locked_at_[rank]) {
-      ROP_ASSERT(drain_pending_[rank] > 0);
-      --drain_pending_[rank];
-    }
+    if (!done) return false;
+    on_read_leaves_queue(req);
     req.completion = *done;
     req.serviced_by = ServicedBy::kSramBuffer;
     h_.sram_serviced->inc();
@@ -944,8 +883,8 @@ void Controller::complete_matching_reads(
     }
     record_read_latency(req);
     completed_.push_back(idx);
-  }
-  by_rank.resize(out);
+    return true;
+  });
 }
 
 void Controller::finalize(Cycle now) {
@@ -1041,9 +980,7 @@ Cycle Controller::next_event_cycle(Cycle now) const {
     if (next == soonest) return next;
   }
 
-  if (read_q_.empty() && write_q_.empty() && prefetch_q_.empty()) {
-    return next;
-  }
+  if (std::ranges::all_of(queues_, &RequestQueue::empty)) return next;
 
   // Scheduler horizon: the earliest cycle any queued request could put a
   // command on the bus. Queue sizes are frozen until the next executed
@@ -1068,7 +1005,7 @@ Cycle Controller::completion_lower_bound(Cycle pos) const {
   // burst is a prefetch with no matching read).
   consider(inflight_min_completion_);
 
-  if (!read_q_.empty()) {
+  if (!queues_[0].empty()) {
     // A queued read not yet in flight needs an issue (earliest pos + 1)
     // plus the CAS latency and burst before data lands.
     const auto& t = channel_.timings();
@@ -1079,7 +1016,7 @@ Cycle Controller::completion_lower_bound(Cycle pos) const {
     // cannot happen before the next tREFI boundary.
     if (listener_ != nullptr && cfg_.policy != RefreshPolicy::kNoRefresh) {
       for (RankId r = 0; r < channel_.num_ranks(); ++r) {
-        if (pending_reads_[r] == 0) continue;
+        if (queues_[0].rank_size(r) == 0) continue;
         if (phase_[r] != RefreshPhase::kIdle || refresh_remaining_[r] > 0 ||
             rm_.owed(r, pos) > 0) {
           consider(pos + 1);

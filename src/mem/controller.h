@@ -259,14 +259,16 @@ class Controller {
     return rank_refreshing(rank) || rank_locked(rank);
   }
   [[nodiscard]] std::size_t pending_demand(RankId rank) const {
-    return pending_reads_[rank] + pending_writes_[rank];
+    return queues_[0].rank_size(rank) + queues_[1].rank_size(rank);
   }
   [[nodiscard]] std::size_t pending_prefetches(RankId rank) const {
-    return queued_prefetches_[rank] + inflight_prefetches_[rank];
+    return queues_[2].rank_size(rank) + inflight_prefetches_[rank];
   }
-  [[nodiscard]] std::size_t read_queue_depth() const { return read_q_.size(); }
+  [[nodiscard]] std::size_t read_queue_depth() const {
+    return queues_[0].size();
+  }
   [[nodiscard]] std::size_t write_queue_depth() const {
-    return write_q_.size();
+    return queues_[1].size();
   }
   /// Cycle the pending refresh came due (kNeverCycle when no lock is
   /// active) and the count of pre-lock reads still draining — exposed for
@@ -285,7 +287,7 @@ class Controller {
 
   /// True when no demand work is queued, in flight, or awaiting drain.
   [[nodiscard]] bool idle() const {
-    return read_q_.empty() && write_q_.empty() && in_flight_.empty() &&
+    return queues_[0].empty() && queues_[1].empty() && in_flight_.empty() &&
            completed_.empty();
   }
 
@@ -295,13 +297,13 @@ class Controller {
   // Queues are arena-backed; the views iterate like the Request containers
   // they replaced.
   [[nodiscard]] RequestView read_queue() const {
-    return RequestView(&arena_, &read_q_);
+    return RequestView(&arena_, &queues_[0].order());
   }
   [[nodiscard]] RequestView write_queue() const {
-    return RequestView(&arena_, &write_q_);
+    return RequestView(&arena_, &queues_[1].order());
   }
   [[nodiscard]] RequestView prefetch_queue() const {
-    return RequestView(&arena_, &prefetch_q_);
+    return RequestView(&arena_, &queues_[2].order());
   }
   [[nodiscard]] RequestView in_flight() const {
     return RequestView(&arena_, &in_flight_);
@@ -309,19 +311,10 @@ class Controller {
   [[nodiscard]] const std::unordered_set<Address>& write_index() const {
     return write_index_;
   }
-  /// The scheduler's per-bank index of queue `queue_id` (0 read, 1 write,
-  /// 2 prefetch).
-  [[nodiscard]] const QueueIndex& queue_index(int queue_id) const {
-    return by_bank_[static_cast<std::size_t>(queue_id)];
-  }
-  [[nodiscard]] std::uint32_t pending_reads(RankId rank) const {
-    return pending_reads_.at(rank);
-  }
-  [[nodiscard]] std::uint32_t pending_writes(RankId rank) const {
-    return pending_writes_.at(rank);
-  }
-  [[nodiscard]] std::uint32_t queued_prefetches(RankId rank) const {
-    return queued_prefetches_.at(rank);
+  /// Queue `queue_id` (0 read, 1 write, 2 prefetch) with its per-bank
+  /// index and per-rank sizes.
+  [[nodiscard]] const RequestQueue& request_queue(int queue_id) const {
+    return queues_[static_cast<std::size_t>(queue_id)];
   }
   [[nodiscard]] std::uint32_t inflight_prefetches(RankId rank) const {
     return inflight_prefetches_.at(rank);
@@ -376,30 +369,26 @@ class Controller {
   [[nodiscard]] Cycle completion_lower_bound(Cycle pos) const;
 
   /// Snapshot serialization (see common/snapshot_io.h): the channel, the
-  /// refresh bookkeeping, the arena-backed queues, and every incrementally
-  /// maintained counter. write_index_ and the scheduler's per-bank queue
-  /// indices are derived views of the queues and are rebuilt on restore
-  /// instead of being serialized (unordered containers have no canonical
-  /// byte order; the indices' ages only need to follow queue order). Stat
-  /// handles, the listener/auditor and the trace sink are runtime wiring
-  /// and do not ride.
+  /// refresh bookkeeping, the arena-backed queues' orders, and every
+  /// incrementally maintained counter. write_index_ and each queue's
+  /// per-bank index and per-rank sizes are derived from the orders and are
+  /// rebuilt on restore instead of being serialized (unordered containers
+  /// have no canonical byte order; the indices' ages only need to follow
+  /// queue order). Stat handles, the listener/auditor and the trace sink
+  /// are runtime wiring and do not ride.
   template <class Ar>
   void io(Ar& ar) {
-    ar(channel_, rm_, blocking_, arena_, read_q_, write_q_, prefetch_q_,
-       in_flight_, completed_, reads_by_rank_, inflight_min_completion_,
-       pending_reads_, pending_writes_, queued_prefetches_,
-       inflight_prefetches_, draining_writes_, phase_, locked_at_,
-       drain_pending_, last_arrival_, refresh_remaining_, refresh_started_,
-       refresh_window_opened_, next_refresh_bank_, reads_by_bank_count_,
-       writes_by_bank_count_, darp_round_mask_, next_refresh_sub_);
+    ar(channel_, rm_, blocking_, arena_, queues_, in_flight_, completed_,
+       inflight_min_completion_, inflight_prefetches_, draining_writes_,
+       phase_, locked_at_, drain_pending_, last_arrival_, refresh_remaining_,
+       refresh_started_, refresh_window_opened_, next_refresh_bank_,
+       darp_round_mask_, next_refresh_sub_);
     if constexpr (Ar::kIsReader) {
       write_index_.clear();
-      for (const RequestIndex idx : write_q_) {
+      for (const RequestIndex idx : queues_[1].order()) {
         write_index_.insert(arena_[idx].line_addr);
       }
-      for (int q = 0; q < 3; ++q) {
-        by_bank_[q].assign(queue(q), arena_, channel_);
-      }
+      for (RequestQueue& q : queues_) q.assign(q.order(), arena_, channel_);
     }
   }
 
@@ -408,7 +397,7 @@ class Controller {
   void step(Cycle now);
   void issue_pick(const SchedulerPick& pick, Cycle now);
   /// Put `cmd` on the bus (legal at `now`); an ACT or PRE also moves the
-  /// bank's open-row hit counts in the queue indices. Every command the
+  /// bank's open-row hit counts in the queues. Every command the
   /// controller issues goes through here.
   Cycle issue_command(const dram::Command& cmd, Cycle now);
   void complete_bursts(Cycle now);
@@ -473,7 +462,7 @@ class Controller {
   /// while the controller drains writes.
   [[nodiscard]] bool darp_bank_idle(RankId r, BankId b) const;
 
-  /// Flat per-(rank, bank) slot index for the demand-occupancy counters.
+  /// Flat per-(rank, bank) slot index, the queues' slot order.
   [[nodiscard]] std::size_t bank_slot(RankId r, BankId b) const {
     return static_cast<std::size_t>(r) * num_banks_ + b;
   }
@@ -481,6 +470,10 @@ class Controller {
   /// Charge `cycles` of refresh-induced demand blocking for each of
   /// `requests` queued reads (see mem.refresh_blocked_cycles).
   void charge_refresh_blocking(std::uint64_t requests, Cycle cycles);
+  /// Charge `cycles` to every read queued to rank `r`, in the aggregate and
+  /// in each read's `cause` accumulator.
+  void block_queued_reads(RankId r, Cycle cycles,
+                          std::uint32_t Request::*cause);
   /// Subarray-refresh trace event + blocking charge at REFpb issue.
   void record_subarray_refresh(RankId r, BankId b, std::uint32_t sub,
                                Cycle now);
@@ -506,16 +499,9 @@ class Controller {
   };
   [[nodiscard]] SchedulerView scheduler_view(bool draining, Cycle now) const;
 
-  /// Queue `queue_id` (0 read, 1 write, 2 prefetch).
-  [[nodiscard]] std::vector<RequestIndex>& queue(int queue_id);
-  /// True when `c.row` is the open row of its bank.
-  [[nodiscard]] bool hits_open_row(const DramCoord& c) const {
-    return channel_.rank(c.rank).bank(c.bank).open_row() == c.row;
-  }
-
-  /// Remove `idx` from rank `r`'s read index and from the drain counter
-  /// when the request predates the rank's lock.
-  void on_read_leaves_queue(RankId r, RequestIndex idx, const Request& req);
+  /// A queued read left the read queue: it leaves the drain count when it
+  /// predates its rank's lock.
+  void on_read_leaves_queue(const Request& req);
 
   /// Hot-path statistics, resolved to stable pointers once at construction.
   /// Event code must go through these — a string-keyed registry lookup per
@@ -578,35 +564,25 @@ class Controller {
 
   /// Pooled request storage; every queue below holds indices into it.
   RequestArena arena_;
-  std::vector<RequestIndex> read_q_;
-  std::vector<RequestIndex> write_q_;
-  std::vector<RequestIndex> prefetch_q_;
+  /// The read, write and prefetch queues, by queue id (0, 1, 2). Each keeps
+  /// its order, its per-bank index for the scheduler and the per-rank and
+  /// per-bank sizes the refresh machinery reads.
+  std::array<RequestQueue, 3> queues_;
   std::vector<RequestIndex> in_flight_;  // reads/prefetches waiting on data
   std::vector<RequestIndex> completed_;
-  /// Queued demand reads per rank, in age order — the per-rank view of
-  /// read_q_ that complete_matching_reads and the drain machinery use
-  /// instead of rescanning the whole read queue.
-  std::vector<std::vector<RequestIndex>> reads_by_rank_;
 
   /// Min completion cycle over in_flight_, maintained incrementally
   /// (tightened on push, rebuilt during the complete_bursts sweep) so
   /// next_event_cycle avoids a per-call linear scan.
   Cycle inflight_min_completion_ = kNeverCycle;
 
-  /// Per-bank indices of read_q_, write_q_ and prefetch_q_ (by queue id)
-  /// that the scheduler reads.
-  std::array<QueueIndex, 3> by_bank_;
-
-  /// Lines currently present in write_q_. Coalescing keeps at most one
-  /// queued write per line, so a set gives O(1) read-after-write forwarding,
-  /// coalescing, and stale-prefetch checks without index fix-ups when
-  /// issue_pick erases from the middle of the queue.
+  /// Lines currently present in the write queue. Coalescing keeps at most
+  /// one queued write per line, so a set gives O(1) read-after-write
+  /// forwarding, coalescing, and stale-prefetch checks without index
+  /// fix-ups when issue_pick erases from the middle of the queue.
   std::unordered_set<Address> write_index_;
-  /// Incrementally-maintained per-rank queue occupancy, replacing the
-  /// count_if scans the refresh machinery used to run every tick.
-  std::vector<std::uint32_t> pending_reads_;
-  std::vector<std::uint32_t> pending_writes_;
-  std::vector<std::uint32_t> queued_prefetches_;
+  /// Prefetches in flight per rank (the queued ones are counted by their
+  /// queue).
   std::vector<std::uint32_t> inflight_prefetches_;
 
   bool draining_writes_ = false;
@@ -621,9 +597,9 @@ class Controller {
   /// Cycle the pending refresh came due (bounds the drain window).
   std::vector<Cycle> locked_at_;
   /// Queued reads that predate the rank's lock and still await service —
-  /// the count the ROP drain waits on. Snapshot of pending_reads_ at lock
+  /// the count the ROP drain waits on. The rank's read-queue size at lock
   /// time, incremented by lock-cycle arrivals, decremented as pre-lock
-  /// reads leave the queue. Replaces a per-tick count_if over read_q_.
+  /// reads leave the queue. Replaces a per-tick count over the read queue.
   std::vector<std::uint32_t> drain_pending_;
   /// kElastic: last demand arrival per rank (idle detection).
   std::vector<Cycle> last_arrival_;
@@ -639,13 +615,8 @@ class Controller {
   /// kPerBank / kSarp / kHira: round-robin cursor of the next bank to
   /// refresh.
   std::vector<BankId> next_refresh_bank_;
-  /// Banks per rank (sizes the flat per-bank counter vectors below).
+  /// Banks per rank (sizes the flat per-bank vector below).
   std::uint32_t num_banks_ = 0;
-  /// Per-(rank, bank) queued-demand occupancy, maintained alongside the
-  /// per-rank counters. DARP's idle-bank selection reads these; they are
-  /// cheap enough to keep exact under every policy.
-  std::vector<std::uint32_t> reads_by_bank_count_;
-  std::vector<std::uint32_t> writes_by_bank_count_;
   /// kDarp: bitmask of banks already refreshed in the current round (reset
   /// when all banks are set) — out-of-order selection stays fair.
   std::vector<std::uint32_t> darp_round_mask_;

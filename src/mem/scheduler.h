@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "dram/channel.h"
@@ -28,14 +29,17 @@ struct SchedulerConfig {
   std::size_t write_drain_low = 16;       // leave drain mode at this depth
 };
 
-/// One request queue indexed by DRAM bank: each (rank, bank) slot lists its
-/// queued requests in age order, with the count of them that hit the bank's
-/// open row. The owner keeps it in step with the queue (push on enqueue,
-/// erase on every removal) and with the channel (set_open_row on every ACT
-/// and PRE), so the scheduler's cost follows the banks with work, not the
-/// requests. It is derived state: rebuilt from the queue, never serialized.
-/// Its storage is sized for the channel at construction.
-class QueueIndex {
+/// One controller request queue (reads, writes or prefetches): the arena
+/// indices of its requests in age order, and the same requests indexed by
+/// DRAM bank. Each (rank, bank) slot lists its requests in age order with
+/// the count of them that hit the bank's open row; a bitmask marks the
+/// slots with requests, and each rank's size is counted. push, erase and
+/// remove_if keep all of these in step with the order; the owner keeps the
+/// hit counts in step with the channel (set_open_row on every ACT and PRE).
+/// The scheduler's cost thus follows the banks with work, not the requests.
+/// Only the order is serialized; assign rebuilds the rest from it. All
+/// per-slot and per-rank storage is sized for the channel at construction.
+class RequestQueue {
  public:
   struct Entry {
     std::uint64_t age = 0;  // enqueue order within the queue: smaller is older
@@ -43,7 +47,7 @@ class QueueIndex {
     RowId row = 0;
   };
 
-  QueueIndex(std::uint32_t ranks, std::uint32_t banks)
+  RequestQueue(std::uint32_t ranks, std::uint32_t banks)
       : banks_(banks),
         slots_(static_cast<std::size_t>(ranks) * banks),
         busy_((slots_.size() + 63) / 64) {}
@@ -52,28 +56,49 @@ class QueueIndex {
   [[nodiscard]] std::size_t slot(RankId r, BankId b) const {
     return static_cast<std::size_t>(r) * banks_ + b;
   }
-  [[nodiscard]] std::size_t size() const { return size_; }
-
-  /// Append `request`, targeting `coord`, as the youngest of its bank.
-  /// `hit`: coord.row is the bank's open row.
-  void push(RequestIndex request, const DramCoord& coord, bool hit) {
-    const std::size_t s = slot(coord.rank, coord.bank);
-    slots_[s].entries.push_back(Entry{next_age_++, request, coord.row});
-    slots_[s].hits += hit ? 1 : 0;
-    busy_[s / 64] |= std::uint64_t{1} << (s % 64);
-    ++size_;
+  /// Arena indices of the queued requests, oldest first.
+  [[nodiscard]] const std::vector<RequestIndex>& order() const {
+    return order_;
+  }
+  [[nodiscard]] std::size_t size() const { return order_.size(); }
+  [[nodiscard]] bool empty() const { return order_.empty(); }
+  /// Requests queued to rank `r`.
+  [[nodiscard]] std::uint32_t rank_size(RankId r) const {
+    return slots_[slot(r, 0)].rank_size;
   }
 
-  /// Remove `request` (queued to `coord`; `hit` as for push).
-  void erase(RequestIndex request, const DramCoord& coord, bool hit) {
-    const std::size_t s = slot(coord.rank, coord.bank);
-    std::vector<Entry>& entries = slots_[s].entries;
-    const auto it = std::ranges::find(entries, request, &Entry::request);
-    ROP_ASSERT(it != entries.end());
-    entries.erase(it);
-    slots_[s].hits -= hit ? 1 : 0;
-    if (entries.empty()) busy_[s / 64] &= ~(std::uint64_t{1} << (s % 64));
-    --size_;
+  /// Append `request`, targeting `coord`, as the youngest.
+  void push(RequestIndex request, const DramCoord& coord,
+            const dram::Channel& channel) {
+    order_.push_back(request);
+    link(request, coord, hits_open_row(channel, coord));
+  }
+
+  /// Remove `request` (queued to `coord`).
+  void erase(RequestIndex request, const DramCoord& coord,
+             const dram::Channel& channel) {
+    const auto it = std::ranges::find(order_, request);
+    ROP_ASSERT(it != order_.end());
+    order_.erase(it);
+    unlink(request, coord, hits_open_row(channel, coord));
+  }
+
+  /// Remove every request for which `remove(index)` returns true, asking
+  /// oldest first; the rest keep their order. `remove` may release the
+  /// request's arena slot, but must not touch the queue.
+  template <typename Pred>
+  void remove_if(const RequestArena& arena, const dram::Channel& channel,
+                 const Pred& remove) {
+    std::size_t out = 0;
+    for (const RequestIndex idx : order_) {
+      const DramCoord coord = arena[idx].coord;
+      if (!remove(idx)) {
+        order_[out++] = idx;
+        continue;
+      }
+      unlink(idx, coord, hits_open_row(channel, coord));
+    }
+    order_.resize(out);
   }
 
   /// Bank (r, b) opened `row`, or closed its row (nullopt).
@@ -84,17 +109,17 @@ class QueueIndex {
                  : 0;
   }
 
-  /// Rebuild from `queue` (oldest first) over the channel's open rows.
-  void assign(std::span<const RequestIndex> queue, const RequestArena& arena,
+  /// Make `order` (oldest first) the queue, indexed over the channel's
+  /// open rows.
+  void assign(std::vector<RequestIndex> order, const RequestArena& arena,
               const dram::Channel& channel) {
     for (Slot& s : slots_) s = Slot{};
     std::ranges::fill(busy_, 0);
-    size_ = 0;
     next_age_ = 0;
-    for (const RequestIndex idx : queue) {
+    order_ = std::move(order);
+    for (const RequestIndex idx : order_) {
       const DramCoord& c = arena[idx].coord;
-      const auto open = channel.rank(c.rank).bank(c.bank).open_row();
-      push(idx, c, open == c.row);
+      link(idx, c, hits_open_row(channel, c));
     }
   }
 
@@ -121,15 +146,47 @@ class QueueIndex {
     return false;
   }
 
+  /// Snapshot serialization: the order alone; the owner calls assign on
+  /// restore to rebuild the rest.
+  template <class Ar>
+  void io(Ar& ar) {
+    ar(order_);
+  }
+
  private:
   struct Slot {
     std::vector<Entry> entries;
     std::uint32_t hits = 0;
+    /// Requests queued to this slot's rank, kept in the rank's bank-0 slot
+    /// only: it fills that slot's padding, so the per-rank sizes take no
+    /// storage of their own.
+    std::uint32_t rank_size = 0;
   };
+
+  static bool hits_open_row(const dram::Channel& channel, const DramCoord& c) {
+    return channel.rank(c.rank).bank(c.bank).open_row() == c.row;
+  }
+  void link(RequestIndex request, const DramCoord& coord, bool hit) {
+    const std::size_t s = slot(coord.rank, coord.bank);
+    slots_[s].entries.push_back(Entry{next_age_++, request, coord.row});
+    slots_[s].hits += hit ? 1 : 0;
+    ++slots_[slot(coord.rank, 0)].rank_size;
+    busy_[s / 64] |= std::uint64_t{1} << (s % 64);
+  }
+  void unlink(RequestIndex request, const DramCoord& coord, bool hit) {
+    const std::size_t s = slot(coord.rank, coord.bank);
+    std::vector<Entry>& entries = slots_[s].entries;
+    const auto it = std::ranges::find(entries, request, &Entry::request);
+    ROP_ASSERT(it != entries.end());
+    entries.erase(it);
+    slots_[s].hits -= hit ? 1 : 0;
+    --slots_[slot(coord.rank, 0)].rank_size;
+    if (entries.empty()) busy_[s / 64] &= ~(std::uint64_t{1} << (s % 64));
+  }
 
   std::uint32_t banks_ = 0;
   std::uint64_t next_age_ = 0;
-  std::size_t size_ = 0;
+  std::vector<RequestIndex> order_;
   std::vector<Slot> slots_;
   std::vector<std::uint64_t> busy_;  // one bit per slot with entries
 };
@@ -145,10 +202,10 @@ struct SchedulerPick {
 };
 
 /// A queue the scheduler may draw from this cycle, in priority order. The
-/// index lists the queue's requests by bank; the arena holds the requests.
+/// queue lists its requests by bank; the arena holds the requests.
 struct QueueView {
   const RequestArena* arena = nullptr;
-  const QueueIndex* index = nullptr;
+  const RequestQueue* queue = nullptr;
   int id = -1;
 };
 
@@ -222,13 +279,13 @@ inline dram::Command bank_command(dram::CmdType type, RankId r, BankId b,
 inline bool view_hits_open_row(std::span<const QueueView> queues,
                                std::size_t slot) {
   return std::ranges::any_of(queues, [slot](const QueueView& qv) {
-    return qv.index->open_row_hits(slot) > 0;
+    return qv.queue->open_row_hits(slot) > 0;
   });
 }
 
 /// The pick of `cmd_type` for the queued request `entry` of `qv`.
 inline SchedulerPick pick_for(const QueueView& qv,
-                              const QueueIndex::Entry& entry,
+                              const RequestQueue::Entry& entry,
                               dram::CmdType cmd_type) {
   const Request& req = (*qv.arena)[entry.request];
   const RequestId id = cmd_type == dram::CmdType::kPrecharge ? 0 : req.id;
@@ -241,11 +298,11 @@ inline SchedulerPick pick_for(const QueueView& qv,
 template <typename BlockedPred, typename Visit>
 bool Scheduler::for_each_bank(const QueueView& qv, const BlockedPred& blocked,
                               const Visit& visit) {
-  const std::uint32_t banks = qv.index->banks();
+  const std::uint32_t banks = qv.queue->banks();
   // Slots run rank-major, so one verdict per rank serves all its banks.
   RankId gate = ~RankId{0};
   bool gate_blocked = false;
-  return qv.index->for_each_busy([&](std::size_t slot) {
+  return qv.queue->for_each_busy([&](std::size_t slot) {
     const auto r = static_cast<RankId>(slot / banks);
     if (r != gate) {
       gate = r;
@@ -261,7 +318,7 @@ std::optional<SchedulerPick> Scheduler::pick(std::span<const QueueView> queues,
                                              const dram::Channel& channel,
                                              Cycle now,
                                              const BlockedPred& blocked) const {
-  using Entry = QueueIndex::Entry;
+  using Entry = RequestQueue::Entry;
   using scheduler_detail::bank_command;
   // Column pass. Column legality depends on the request only through its
   // bank and direction, so each bank offers its oldest row hit.
@@ -270,11 +327,11 @@ std::optional<SchedulerPick> Scheduler::pick(std::span<const QueueView> queues,
     dram::CmdType best_type = dram::CmdType::kRead;
     for_each_bank(qv, blocked, [&](std::size_t slot, RankId r, BankId b) {
       const dram::Bank& bank = channel.rank(r).bank(b);
-      if (qv.index->open_row_hits(slot) == 0 ||
+      if (qv.queue->open_row_hits(slot) == 0 ||
           bank.state() != dram::BankState::kActive) {
         return false;
       }
-      const auto entries = qv.index->bank(slot);
+      const auto entries = qv.queue->bank(slot);
       const RowId open = *bank.open_row();
       const Entry& hit = *std::ranges::find(entries, open, &Entry::row);
       if (best != nullptr && best->age < hit.age) return false;
@@ -295,7 +352,7 @@ std::optional<SchedulerPick> Scheduler::pick(std::span<const QueueView> queues,
     dram::CmdType best_type = dram::CmdType::kActivate;
     for_each_bank(qv, blocked, [&](std::size_t slot, RankId r, BankId b) {
       const dram::Bank& bank = channel.rank(r).bank(b);
-      const auto entries = qv.index->bank(slot);
+      const auto entries = qv.queue->bank(slot);
       if (bank.state() == dram::BankState::kActive) {
         // With no taker in the view every entry conflicts: the oldest one
         // asks for the PRE.
@@ -349,9 +406,9 @@ Cycle Scheduler::earliest_issue_cycle(std::span<const QueueView> queues,
     const bool done =
         for_each_bank(qv, blocked, [&](std::size_t slot, RankId r, BankId b) {
           const dram::Bank& bank = channel.rank(r).bank(b);
-          const auto entries = qv.index->bank(slot);
+          const auto entries = qv.queue->bank(slot);
           if (bank.state() == dram::BankState::kActive) {
-            if (qv.index->open_row_hits(slot) > 0) {
+            if (qv.queue->open_row_hits(slot) > 0) {
               const dram::CmdType type = scheduler_detail::column_cmd_for(
                   (*qv.arena)[entries.front().request]);
               return consider(channel.earliest_issue(
@@ -366,7 +423,7 @@ Cycle Scheduler::earliest_issue_cycle(std::span<const QueueView> queues,
           // One ACT per subarray present. A refreshing bank's waits for
           // the next tick's release, which the clamp to now + 1 covers.
           std::uint64_t seen = 0;
-          for (const QueueIndex::Entry& e : entries) {
+          for (const RequestQueue::Entry& e : entries) {
             const std::uint32_t sub = bank.subarray_of(e.row);
             if (sub < 64) {
               if (((seen >> sub) & 1u) != 0) continue;

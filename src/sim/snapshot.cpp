@@ -21,9 +21,7 @@ namespace {
 
 // "ROPSNAP1" read as a little-endian u64.
 constexpr std::uint64_t kMagic = 0x3150414E53504F52ULL;
-// v2: Request lifecycle stamps + per-cause blocked fields, CoreStats CPI
-// ledger, Core critical_since_, CoreResult CPI stack.
-constexpr std::uint32_t kFormatVersion = 2;
+constexpr std::uint32_t kFormatVersion = kSnapshotFormatVersion;
 
 template <class Ar>
 void serialize_sections(Ar& ar, const SnapshotContext& ctx) {

@@ -53,6 +53,13 @@ namespace rop::sim {
 
 struct ExperimentSpec;
 
+/// Format version in every snapshot header; a file of another version is
+/// rejected. v2: Request lifecycle stamps + per-cause blocked fields,
+/// CoreStats CPI ledger, Core critical_since_, CoreResult CPI stack. v3:
+/// the controller section keeps only each request queue's order (per-rank
+/// and per-bank counts and the per-rank read lists are rebuilt from it).
+inline constexpr std::uint32_t kSnapshotFormatVersion = 3;
+
 /// Everything a snapshot touches. Engine/trace vectors follow channel /
 /// core order; sampler and trace may be null (their presence is
 /// config-derived, so both sides of a save/restore agree).

@@ -331,6 +331,59 @@ TEST_F(ControllerTest, CompleteMatchingReadsServicesQueued) {
   EXPECT_EQ(c->read_queue_depth(), 1u);
 }
 
+// Two ranks: SRAM-buffer service takes rank-1 reads from the middle of a
+// mixed-rank read queue. The probe sees the rank's reads oldest first, the
+// served ones complete in that order, the rest of the queue keeps its
+// order, and both ranks' pending demand follows.
+TEST_F(ControllerTest, CompleteMatchingReadsServesOneRankInAgeOrder) {
+  org.ranks = 2;
+  ControllerConfig cfg;
+  cfg.policy = RefreshPolicy::kNoRefresh;
+  auto c = make(cfg);
+  check::SimChecker checker;
+  c->set_auditor(&checker);
+  // Lines 0x1000 * n, ranks 0 1 0 1 1 0 1, spread over banks.
+  const RankId ranks[] = {0, 1, 0, 1, 1, 0, 1};
+  for (std::size_t n = 0; n < std::size(ranks); ++n) {
+    const BankId bank = static_cast<BankId>(n % 3);
+    ASSERT_TRUE(c->enqueue(read_req(0x1000 * (n + 1), ranks[n], bank, 5), 0));
+  }
+  ASSERT_TRUE(c->enqueue(write_req(0x9000, 1, 2, 5), 0));
+  EXPECT_EQ(c->pending_demand(0), 3u);
+  EXPECT_EQ(c->pending_demand(1), 5u);
+
+  std::vector<Address> probed;
+  c->complete_matching_reads(1, [&probed](const Request& r)
+                                    -> std::optional<Cycle> {
+    probed.push_back(r.line_addr);
+    // Serve the 2nd and 3rd of the rank's four reads, then its last.
+    if (r.line_addr == 0x4000 || r.line_addr == 0x5000) return 40;
+    if (r.line_addr == 0x7000) return 30;
+    return std::nullopt;
+  });
+  checker.on_tick_end(*c, 0);
+  EXPECT_TRUE(checker.ok()) << checker.summary();
+  EXPECT_EQ(probed, (std::vector<Address>{0x2000, 0x4000, 0x5000, 0x7000}));
+
+  const auto done = c->drain_completed();
+  ASSERT_EQ(done.size(), 3u);
+  EXPECT_EQ(done[0].line_addr, 0x4000u);
+  EXPECT_EQ(done[1].line_addr, 0x5000u);
+  EXPECT_EQ(done[2].line_addr, 0x7000u);
+  EXPECT_EQ(done[2].completion, 30u);
+  for (const Request& r : done) {
+    EXPECT_EQ(r.serviced_by, ServicedBy::kSramBuffer);
+  }
+
+  std::vector<Address> left;
+  for (const Request& r : c->read_queue()) left.push_back(r.line_addr);
+  EXPECT_EQ(left, (std::vector<Address>{0x1000, 0x2000, 0x3000, 0x6000}));
+  EXPECT_EQ(c->pending_demand(0), 3u);
+  EXPECT_EQ(c->pending_demand(1), 2u);  // one read and the write
+  EXPECT_EQ(c->request_queue(0).rank_size(1), 1u);
+  EXPECT_EQ(stats.counter_value("mem.sram_serviced"), 3u);
+}
+
 TEST_F(ControllerTest, RequestConservationUnderLoad) {
   // Every accepted read completes exactly once, even across refreshes.
   auto c = make();
@@ -356,13 +409,14 @@ TEST_F(ControllerTest, RequestConservationUnderLoad) {
 }
 
 TEST_F(ControllerTest, QueueIndexFollowsEveryPath) {
-  // The scheduler's per-bank queue index must follow every path that adds
-  // or removes a request (enqueue, column issue, SRAM-buffer service,
-  // prefetch drops at REF, snapshot restore) and every open-row change
-  // (ACT, PRE, the precharges that seal a rank for REF, REFpb, and the
-  // subarray refreshes of SARP and HiRA, HiRA's with a row open elsewhere).
-  // The checker rebuilds it from the queues after every tick, and after
-  // the SRAM-buffer service and the restore done between ticks here.
+  // Each queue's per-bank index and per-rank sizes must follow every path
+  // that adds or removes a request (enqueue, column issue, SRAM-buffer
+  // service, prefetch drops at REF, snapshot restore) and every open-row
+  // change (ACT, PRE, the precharges that seal a rank for REF, REFpb, and
+  // the subarray refreshes of SARP and HiRA, HiRA's with a row open
+  // elsewhere). The checker recounts them from each queue's order after
+  // every tick, and after the SRAM-buffer service and the restore done
+  // between ticks here.
   org.ranks = 2;
   for (const RefreshPolicy policy :
        {RefreshPolicy::kAutoRefresh, RefreshPolicy::kPerBank,

@@ -139,8 +139,9 @@ std::string dump_memory_state(
       os << " rank" << r << " phase=" << static_cast<int>(c.refresh_phase(r))
          << " locked_at=" << c.locked_at(r)
          << " drain_pending=" << c.drain_pending(r)
-         << " pending=" << c.pending_reads(r) << "/" << c.pending_writes(r)
-         << "/" << c.queued_prefetches(r) << "/" << c.inflight_prefetches(r)
+         << " pending=" << c.request_queue(0).rank_size(r) << "/"
+         << c.request_queue(1).rank_size(r) << "/"
+         << c.request_queue(2).rank_size(r) << "/" << c.inflight_prefetches(r)
          << " refresh_remaining=" << c.refresh_remaining(r) << "\n";
       const dram::Rank& rank = dch.rank(r);
       os << "  rank_timing next_act=" << rank.next_activate()

@@ -398,7 +398,7 @@ TEST_P(SchedulerBoundProperty, PickIsEmptyBeforeTheBoundAndReadyAtIt) {
             arena.alloc(random_request(rng, ch, org, k, id++, now)));
       }
     }
-    std::deque<mem::QueueIndex> indices;
+    std::deque<mem::RequestQueue> indices;
     const auto view = [&](int k) {
       indices.emplace_back(org.ranks, org.banks).assign(queues[k], arena, ch);
       return mem::QueueView{&arena, &indices.back(), k};
@@ -553,19 +553,17 @@ TEST_P(SchedulerOracleProperty, IndexedPickAndBoundMatchTheReference) {
 
     mem::RequestArena arena;
     std::vector<mem::RequestIndex> queues[3];
-    std::vector<mem::QueueIndex> indices(3, mem::QueueIndex(ranks, org.banks));
-    const auto hits = [&ch](const DramCoord& c) {
-      return ch.rank(c.rank).bank(c.bank).open_row() == c.row;
-    };
+    std::vector<mem::RequestQueue> indices(3,
+                                           mem::RequestQueue(ranks, org.banks));
     const auto remove = [&](int k, std::size_t at) {
       const mem::RequestIndex idx = queues[k][at];
-      indices[k].erase(idx, arena[idx].coord, hits(arena[idx].coord));
+      indices[k].erase(idx, arena[idx].coord, ch);
       queues[k].erase(queues[k].begin() + static_cast<std::ptrdiff_t>(at));
       arena.release(idx);
     };
     const auto moved_row = [&](const dram::Command& cmd) {
       const auto open = ch.rank(cmd.coord.rank).bank(cmd.coord.bank).open_row();
-      for (mem::QueueIndex& index : indices) {
+      for (mem::RequestQueue& index : indices) {
         index.set_open_row(cmd.coord.rank, cmd.coord.bank, open);
       }
     };
@@ -579,7 +577,7 @@ TEST_P(SchedulerOracleProperty, IndexedPickAndBoundMatchTheReference) {
         const mem::Request req = random_request(rng, ch, org, k, id++, now);
         const mem::RequestIndex idx = arena.alloc(req);
         queues[k].push_back(idx);
-        indices[k].push(idx, req.coord, hits(req.coord));
+        indices[k].push(idx, req.coord, ch);
         continue;
       }
       if (action == 4) {  // removal from the middle of a queue
@@ -622,6 +620,9 @@ TEST_P(SchedulerOracleProperty, IndexedPickAndBoundMatchTheReference) {
       const std::string where = "trial " + std::to_string(trial) + " step " +
                                 std::to_string(step) + " at " +
                                 std::to_string(now);
+      for (int k = 0; k < 3; ++k) {
+        ASSERT_EQ(indices[k].order(), queues[k]) << where;
+      }
       ASSERT_EQ(sched.earliest_issue_cycle(views, ch, now, blocked),
                 reference_bound(flat, arena, ch, now, blocked))
           << where;

@@ -2,8 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "mem/scheduler.h"
 
 namespace rop::mem {
@@ -33,7 +35,7 @@ class SchedulerTest : public ::testing::Test {
   /// rows.
   [[nodiscard]] QueueView view(const std::vector<RequestIndex>& q, int id,
                                const dram::Channel& ch) {
-    QueueIndex& index = indices.emplace_back(org.ranks, org.banks);
+    RequestQueue& index = indices.emplace_back(org.ranks, org.banks);
     index.assign(q, arena, ch);
     return QueueView{&arena, &index, id};
   }
@@ -43,7 +45,7 @@ class SchedulerTest : public ::testing::Test {
   dram::DramTimings t;
   dram::DramOrganization org;
   RequestArena arena;
-  std::deque<QueueIndex> indices;  // stable addresses for the views
+  std::deque<RequestQueue> indices;  // stable addresses for the views
   Scheduler sched{SchedulerConfig{}};
 };
 
@@ -263,6 +265,141 @@ TEST_F(SchedulerTest, EarliestIssueSuppressesPrechargeWhileTakerRemains) {
   ASSERT_TRUE(pick.has_value());
   EXPECT_EQ(pick->cmd.type, dram::CmdType::kRead);
   EXPECT_EQ(pick->cmd.request, 2u);
+}
+
+
+// The request queue against a flat reference: a fixed-seed run of pushes,
+// mid-queue erases, order-preserving remove_if passes and open-row moves
+// over 2 ranks x 8 banks. After every step the queue's order, per-bank
+// lists, per-rank sizes, busy banks and open-row hit counts must match the
+// reference, and a queue rebuilt from the order must equal the one kept
+// step by step.
+
+/// The queue's derived state, in a form two queues can be compared by.
+struct QueueState {
+  std::vector<RequestIndex> order;
+  std::vector<std::vector<std::pair<RequestIndex, RowId>>> banks;
+  std::vector<std::uint32_t> hits;
+  std::vector<bool> busy;
+  std::vector<std::uint32_t> rank_sizes;
+  bool operator==(const QueueState&) const = default;
+};
+
+QueueState state_of(const RequestQueue& q, std::uint32_t ranks) {
+  QueueState s;
+  s.order = q.order();
+  const std::size_t slots = static_cast<std::size_t>(ranks) * q.banks();
+  s.busy.assign(slots, false);
+  q.for_each_busy([&s](std::size_t slot) {
+    s.busy[slot] = true;
+    return false;
+  });
+  for (std::size_t slot = 0; slot < slots; ++slot) {
+    auto& bank = s.banks.emplace_back();
+    std::uint64_t last_age = 0;
+    for (const RequestQueue::Entry& e : q.bank(slot)) {
+      // Ages rise within a bank: its list is in age order.
+      EXPECT_TRUE(bank.empty() || e.age > last_age);
+      last_age = e.age;
+      bank.emplace_back(e.request, e.row);
+    }
+    s.hits.push_back(q.open_row_hits(slot));
+  }
+  for (RankId r = 0; r < ranks; ++r) s.rank_sizes.push_back(q.rank_size(r));
+  return s;
+}
+
+/// The same state recomputed from a flat queue and the channel.
+QueueState reference_state(const std::vector<RequestIndex>& flat,
+                           const RequestArena& arena, const dram::Channel& ch,
+                           std::uint32_t banks) {
+  QueueState s;
+  s.order = flat;
+  const std::size_t slots = static_cast<std::size_t>(ch.num_ranks()) * banks;
+  s.banks.resize(slots);
+  s.hits.assign(slots, 0);
+  s.busy.assign(slots, false);
+  s.rank_sizes.assign(ch.num_ranks(), 0);
+  for (const RequestIndex idx : flat) {
+    const DramCoord& c = arena[idx].coord;
+    const std::size_t slot = static_cast<std::size_t>(c.rank) * banks + c.bank;
+    s.banks[slot].emplace_back(idx, c.row);
+    s.busy[slot] = true;
+    ++s.rank_sizes[c.rank];
+    if (ch.rank(c.rank).bank(c.bank).open_row() == c.row) ++s.hits[slot];
+  }
+  return s;
+}
+
+TEST_F(SchedulerTest, RequestQueueMatchesFlatReference) {
+  dram::Channel ch(t, org);
+  RequestQueue q(org.ranks, org.banks);
+  std::vector<RequestIndex> flat;
+  Rng rng(17);
+  Cycle now = 0;
+  RequestId id = 1;
+  std::uint64_t removed_by_pass = 0;
+  for (int step = 0; step < 3000; ++step) {
+    const std::uint64_t action = rng.next_below(10);
+    if (action < 4 && flat.size() < 48) {  // push
+      Request r;
+      r.id = id++;
+      r.coord = DramCoord{0, static_cast<RankId>(rng.next_below(org.ranks)),
+                          static_cast<BankId>(rng.next_below(org.banks)),
+                          static_cast<RowId>(rng.next_below(4)), 0};
+      const RequestIndex idx = arena.alloc(r);
+      q.push(idx, r.coord, ch);
+      flat.push_back(idx);
+    } else if (action < 6 && !flat.empty()) {  // erase from anywhere
+      const auto at = static_cast<std::ptrdiff_t>(rng.next_below(flat.size()));
+      const RequestIndex idx = flat[static_cast<std::size_t>(at)];
+      q.erase(idx, arena[idx].coord, ch);
+      flat.erase(flat.begin() + at);
+      arena.release(idx);
+    } else if (action == 6) {  // remove_if over one rank, by request id
+      const auto rank = static_cast<RankId>(rng.next_below(org.ranks));
+      const std::uint64_t parity = rng.next_below(2);
+      const auto pick = [&](RequestIndex idx) {
+        return arena[idx].coord.rank == rank && arena[idx].id % 2 == parity;
+      };
+      std::vector<RequestIndex> asked;
+      std::vector<RequestIndex> kept;
+      for (const RequestIndex idx : flat) {
+        if (!pick(idx)) kept.push_back(idx);
+      }
+      q.remove_if(arena, ch, [&](RequestIndex idx) {
+        asked.push_back(idx);
+        if (!pick(idx)) return false;
+        arena.release(idx);  // allowed: the queue read the coord first
+        ++removed_by_pass;
+        return true;
+      });
+      ASSERT_EQ(asked, flat) << "step " << step;  // asked oldest first
+      flat = kept;
+    } else {  // time passes; a bank opens or closes a row
+      ch.tick(++now);
+      const auto r = static_cast<RankId>(rng.next_below(org.ranks));
+      const auto b = static_cast<BankId>(rng.next_below(org.banks));
+      const bool open = ch.rank(r).bank(b).state() == dram::BankState::kActive;
+      const dram::Command cmd{
+          open ? dram::CmdType::kPrecharge : dram::CmdType::kActivate,
+          DramCoord{0, r, b, static_cast<RowId>(rng.next_below(4)), 0}, 0};
+      if (ch.can_issue(cmd, now)) {
+        ch.issue(cmd, now);
+        q.set_open_row(r, b, ch.rank(r).bank(b).open_row());
+      }
+    }
+    const QueueState kept = state_of(q, org.ranks);
+    ASSERT_EQ(kept, reference_state(flat, arena, ch, org.banks))
+        << "step " << step;
+    RequestQueue rebuilt(org.ranks, org.banks);
+    rebuilt.assign(q.order(), arena, ch);
+    ASSERT_EQ(state_of(rebuilt, org.ranks), kept) << "step " << step;
+  }
+  // Every path ran, with rows open.
+  EXPECT_GT(removed_by_pass, 50u);
+  EXPECT_GT(id, 500u);
+  EXPECT_GT(ch.events().activates, 50u);
 }
 
 }  // namespace

@@ -161,11 +161,25 @@ TEST(SnapshotHeader, RejectsGarbageAndWrongFingerprint) {
   // Correct magic + version, mismatched fingerprint.
   snap::Writer w;
   std::uint64_t magic = 0x3150414E53504F52ULL;
-  std::uint32_t version = 2;
+  std::uint32_t version = kSnapshotFormatVersion;
   std::uint64_t fp = 1234;
   w(magic, version, fp);
   EXPECT_FALSE(load_snapshot_buffer(w.take(), ctx, 5678, &err));
   EXPECT_EQ(err, "snapshot was taken under a different experiment spec");
+}
+
+// A version-2 file (its controller section carries the per-rank counters
+// that v3 rebuilds) is rejected by its header, fingerprint notwithstanding.
+TEST(SnapshotHeader, RejectsVersion2) {
+  SnapshotContext ctx;  // all null: load must fail before sections
+  std::string err;
+  snap::Writer w;
+  std::uint64_t magic = 0x3150414E53504F52ULL;
+  std::uint32_t version = 2;
+  std::uint64_t fp = 1234;
+  w(magic, version, fp);
+  EXPECT_FALSE(load_snapshot_buffer(w.take(), ctx, 1234, &err));
+  EXPECT_EQ(err, "unsupported snapshot format version");
 }
 
 TEST(SnapshotHeader, FingerprintCoversBehaviorShapingFields) {
@@ -210,9 +224,14 @@ TEST(SnapshotHeader, FingerprintValuesArePinned) {
 // The bit-identity matrix.
 
 /// Full stats document with the wall-clock fields (the only
-/// non-deterministic outputs) zeroed, so the comparison is byte-exact.
+/// non-deterministic outputs) and the checker's run-local tallies zeroed,
+/// so the comparison is byte-exact. The checker is off while a snapshot is
+/// taken or restored, so a split run reports no checker ticks where the
+/// unbroken run under ROP_CHECK=1 reports its count.
 std::string json_of(ExperimentResult r) {
   r.wall_seconds = 0.0;
+  r.checker_ticks = 0;
+  r.checker_violations = 0;
   return r.to_json();
 }
 
@@ -231,6 +250,7 @@ std::uint64_t cut_at(const ExperimentResult& unbroken, std::uint64_t num,
 void expect_split_identical(const ExperimentSpec& spec,
                             const std::string& snap_file) {
   const ExperimentResult ref = run_experiment(spec);
+  EXPECT_EQ(ref.checker_violations, 0u);
   const std::string unbroken = json_of(ref);
   const std::uint64_t cut = cut_at(ref, 2, 5);
   ASSERT_GT(ref.run.cpu_cycles, cut);
@@ -307,6 +327,7 @@ INSTANTIATE_TEST_SUITE_P(AllSchemes, SnapshotSplit,
 TEST(SnapshotSplit, DoubleSplitComposes) {
   ExperimentSpec spec = matrix_spec(MemoryMode::kRop);
   const ExperimentResult ref = run_experiment(spec);
+  EXPECT_EQ(ref.checker_violations, 0u);
   const std::string unbroken = json_of(ref);
 
   const std::string file_a = tmp_path("double_a");
@@ -334,6 +355,7 @@ TEST(SnapshotSplit, DoubleSplitComposes) {
 TEST(SnapshotSplit, PeriodicCheckpointThenResume) {
   ExperimentSpec spec = matrix_spec(MemoryMode::kElastic);
   const ExperimentResult ref = run_experiment(spec);
+  EXPECT_EQ(ref.checker_violations, 0u);
   const std::string unbroken = json_of(ref);
 
   const std::string file = tmp_path("periodic");
@@ -358,6 +380,7 @@ TEST(SnapshotSplit, TraceSinkSurvivesSplit) {
   spec.telemetry.trace.categories = telemetry::kCatAll;
   spec.telemetry.trace.capacity = 4096;
   const ExperimentResult a = run_experiment(spec);
+  EXPECT_EQ(a.checker_violations, 0u);
   ASSERT_NE(a.trace, nullptr);
 
   const std::string file = tmp_path("trace");
